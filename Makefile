@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-serve fuzz fuzz-diff verify clean bench bench-gate bench-smoke obs-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster trace-smoke policy-smoke
+.PHONY: build test test-short race race-serve fuzz fuzz-diff verify clean bench bench-gate bench-smoke bench-informbench-smoke obs-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster trace-smoke policy-smoke
 
 build:
 	$(GO) build ./...
@@ -21,13 +21,15 @@ race:
 
 # race-serve shakes the serving layer's concurrency machinery
 # (single-flight, bounded queue, dispatcher batching, LRU), the cluster
-# transport under it, and the pool and metrics with the race detector.
+# transport under it, the pool and metrics, and the block-parallel trace
+# reader every trace upload goes through, with the race detector.
 race-serve:
-	$(GO) test -race ./internal/serve/ ./internal/cluster/ ./internal/sched/ ./internal/obs/
+	$(GO) test -race ./internal/serve/ ./internal/cluster/ ./internal/sched/ ./internal/obs/ ./internal/trace/
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/isa
+	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace
 
 # fuzz-diff is the cross-engine differential fuzzer (internal/progen):
 # seeded random programs must produce bit-identical architectural state
@@ -59,6 +61,13 @@ bench-smoke:
 	/tmp/handlerbench -experiment fig3 -j 1 > /tmp/fig3_j1.txt
 	/tmp/handlerbench -experiment fig3 > /tmp/fig3_jN.txt
 	cmp /tmp/fig3_j1.txt /tmp/fig3_jN.txt
+
+# bench-informbench-smoke builds and checks informbench (bench/, its own
+# module, so `go test ./...` at the root never compiles it) against the
+# packages it imports: every workload's set-up and output checks at a
+# small size.
+bench-informbench-smoke:
+	cd bench && $(GO) test -short ./...
 
 # obs-smoke checks observability end to end (EXPERIMENTS.md
 # "Observability"): a sweep with metrics and 1-in-64 trace sampling must
@@ -159,6 +168,7 @@ verify: build
 	$(MAKE) fuzz
 	$(MAKE) fuzz-diff
 	$(MAKE) bench-smoke
+	$(MAKE) bench-informbench-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) policy-smoke

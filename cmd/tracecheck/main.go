@@ -12,7 +12,7 @@
 // the offending line otherwise. Sequence numbers may reset mid-file
 // (experiment sweeps concatenate the traces of many independent runs)
 // and sampled (-trace-sample N) traces are fine here: seq continuity is
-// a replay-time concern (internal/trace.Reader), not a format one.
+// a replay-time concern (internal/trace.Load and Replay), not a format one.
 //
 // Validation is the shared internal/trace line parser — strict,
 // allocation-free, and differentially pinned against encoding/json — so

@@ -11,9 +11,11 @@
 //
 //   - ParseLine/Validate: a strict, allocation-free line parser for the
 //     JSONL schema (v1 and v2), shared with cmd/tracecheck;
-//   - Reader: a streaming reader with bounded memory, seq-reset
-//     segmentation for concatenated sweep traces, and sampled-trace
-//     refusal (seq gaps) unless explicitly allowed;
+//   - Load/Replay's block-parallel reader: it cuts the input into ~1 MiB
+//     blocks at newlines, parses them on GOMAXPROCS workers and consumes
+//     them in order, with bounded memory, seq-reset segmentation for
+//     concatenated sweep traces, and sampled-trace refusal (seq gaps)
+//     unless explicitly allowed;
 //   - Replay/ReplayData: drive mem.Hierarchy (per-tid hierarchies with
 //     store-invalidation coherence for multiprocessor traces) and
 //     reconcile the result against the originating stats.Run.
@@ -42,8 +44,7 @@ const requiredFields = FieldSeq | FieldPC | FieldDisasm | FieldFetch |
 
 // Event is one parsed trace line. Numeric fields mirror stats.TraceEvent;
 // Disasm is a view of the still-escaped JSON string body inside the
-// parsed line's buffer — valid only until the buffer is reused (Reader
-// invalidates it on the next Next call).
+// parsed line's buffer — valid only until the buffer is reused.
 type Event struct {
 	Seq      uint64
 	PC       uint64

@@ -23,7 +23,7 @@ type ReplayConfig struct {
 	// (e.g. ooo.DefaultConfig().Hier).
 	Hier mem.HierConfig
 
-	// Reader is the streaming-read policy (sampled refusal, line bound).
+	// Reader is the parsing policy (sampled refusal).
 	Reader ReaderConfig
 
 	// Ctx cancels a long replay; nil means context.Background(). The
@@ -204,6 +204,7 @@ func (rp *replayer) endSegment() {
 	rp.res.Segments = append(rp.res.Segments, rp.seg)
 	rp.res.Total.add(rp.seg)
 	rp.seg = SegmentResult{}
+	clear(rp.hiers) // the next segment starts cold; let these go
 	rp.tids = rp.tids[:0]
 	rp.hiers = rp.hiers[:0]
 	rp.inSeg = false
@@ -259,40 +260,40 @@ func (rp *replayer) ref(r Ref) error {
 	return nil
 }
 
+// run replays one run of a segment's references; newSegment starts the
+// segment, and events counts the run's events, memory or not.
+func (rp *replayer) run(newSegment bool, refs []Ref, events uint64) error {
+	if newSegment {
+		rp.beginSegment()
+	}
+	rp.seg.Events += events
+	for _, r := range refs {
+		if err := rp.ref(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finish closes the last segment and returns a copy of the result, so a
+// caller that keeps it (informd caches replays) does not keep the
+// replayer alive.
 func (rp *replayer) finish() *ReplayResult {
 	rp.endSegment()
-	return &rp.res
+	res := rp.res
+	return &res
 }
 
 // Replay streams a JSONL trace from r through the configured hierarchy
-// model and returns the per-level outcome. Memory use is bounded: one
-// line buffer plus per-tid hierarchy state; the trace itself is never
-// held in memory.
+// model and returns the per-level outcome. The trace is never held in
+// memory: it is parsed in blocks of about 1 MiB, at most GOMAXPROCS+1 of
+// them alive at once, and their buffers are reused. Beyond that, memory
+// is the per-tid hierarchy state of the current segment, which the
+// result does not reference.
 func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
-	rd := NewReader(r, cfg.Reader)
 	rp := newReplayer(cfg)
-	var ev Event
-	for {
-		segStart, err := rd.Next(&ev)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if segStart {
-			rp.beginSegment()
-		}
-		rp.seg.Events++
-		if !ev.Mem() {
-			continue
-		}
-		if !ev.Has(FieldAddr) {
-			return nil, fmt.Errorf("line %d: %w", rd.Line(), ErrNoAddr)
-		}
-		if err := rp.ref(Ref{Addr: ev.Addr, Tid: int32(ev.Tid), Level: int8(ev.Level), Store: ev.Store}); err != nil {
-			return nil, err
-		}
+	if _, _, err := parse(r, cfg.Reader, rp.run); err != nil {
+		return nil, err
 	}
 	return rp.finish(), nil
 }
@@ -307,14 +308,12 @@ func ReplayData(d *Data, cfg ReplayConfig) (*ReplayResult, error) {
 		if i+1 < len(d.SegStart) {
 			end = d.SegStart[i+1]
 		}
-		rp.beginSegment()
+		var events uint64
 		if i < len(d.SegEvents) {
-			rp.seg.Events = d.SegEvents[i]
+			events = d.SegEvents[i]
 		}
-		for _, r := range d.Refs[start:end] {
-			if err := rp.ref(r); err != nil {
-				return nil, err
-			}
+		if err := rp.run(true, d.Refs[start:end], events); err != nil {
+			return nil, err
 		}
 	}
 	return rp.finish(), nil

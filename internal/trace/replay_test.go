@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -229,6 +230,47 @@ func TestReplayDataMatchesStreaming(t *testing.T) {
 	for i := range streamed.Segments {
 		if streamed.Segments[i] != loaded.Segments[i] {
 			t.Errorf("segment %d: %+v vs %+v", i, streamed.Segments[i], loaded.Segments[i])
+		}
+	}
+}
+
+// A replay result must not keep the replay's hierarchies alive: informd
+// caches results, and a hierarchy holds both caches' tags and their
+// taxonomy shadows. Keeping a few results of replays through a large
+// geometry must not keep their hierarchies on the heap.
+func TestReplayResultReleasesHierarchies(t *testing.T) {
+	big := mem.HierConfig{
+		L1: mem.CacheConfig{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 2},
+		L2: mem.CacheConfig{SizeBytes: 8 << 20, LineBytes: 32, Assoc: 4}, // ~18 MB with its shadow
+	}
+	text := traceText(line(0, 1, 0x40, false, false), line(1, 3, 0x8000, true, false))
+	d, err := Load(strings.NewReader(text), ReaderConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for name, replay := range map[string]func() (*ReplayResult, error){
+		"Replay":     func() (*ReplayResult, error) { return Replay(strings.NewReader(text), ReplayConfig{Hier: big}) },
+		"ReplayData": func() (*ReplayResult, error) { return ReplayData(d, ReplayConfig{Hier: big}) },
+	} {
+		base := heap()
+		var kept []*ReplayResult
+		for i := 0; i < 3; i++ {
+			res, err := replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, res)
+		}
+		grown := heap() - base
+		runtime.KeepAlive(kept)
+		if grown > 8<<20 {
+			t.Errorf("%s: keeping %d results grew the heap by %d MB; the results pin their hierarchies", name, len(kept), grown>>20)
 		}
 	}
 }
