@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-serve fuzz fuzz-diff verify clean bench bench-gate bench-smoke bench-informbench-smoke obs-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster trace-smoke policy-smoke
+.PHONY: build test test-short race race-serve fuzz fuzz-diff verify clean bench bench-gate bench-smoke bench-informbench-smoke obs-smoke serve-smoke chaos-smoke cluster-smoke trace-smoke policy-smoke
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/isa
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeCells -fuzztime=10s ./internal/serve
 
 # fuzz-diff is the cross-engine differential fuzzer (internal/progen):
 # seeded random programs must produce bit-identical architectural state
@@ -154,12 +155,6 @@ policy-smoke:
 	$(GO) test -run 'TestPolicy|TestRRIPNotInclusive|TestTaxonomy' ./internal/mem/
 	$(GO) test -run 'TestPolicyGolden|TestPolicyArchitecturalNeutrality' ./internal/core/
 	$(GO) test -run 'TestExplain' ./internal/serve/
-
-# bench-cluster regenerates the committed cluster-scaling report
-# (EXPERIMENTS.md "Cluster scaling"): 1-node vs 3-node in-process
-# throughput on a duplicate-free workload, cold and warm.
-bench-cluster:
-	$(GO) run ./cmd/clusterbench -nodes 1,3 -cells 60 -out BENCH_cluster.json
 
 # verify is the full CI gate: build, vet, race-enabled tests, fuzz seeds.
 verify: build

@@ -122,31 +122,31 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	forwarded := isForwarded(r)
-	var req ExplainRequest
-	if !readJSON(w, r, &req) {
+	cells, ok := readCells(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Cells) == 0 {
+	if len(cells) == 0 {
 		writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: "no cells in request"})
 		return
 	}
-	if len(req.Cells) > s.cfg.MaxCellsPerRequest {
+	if len(cells) > s.cfg.MaxCellsPerRequest {
 		writeError(w, http.StatusBadRequest, &WireError{
-			Code: CodeInvalid, Message: fmt.Sprintf("%d cells above per-request limit %d", len(req.Cells), s.cfg.MaxCellsPerRequest)})
+			Code: CodeInvalid, Message: fmt.Sprintf("%d cells above per-request limit %d", len(cells), s.cfg.MaxCellsPerRequest)})
 		return
 	}
-	if !s.admitTenant(w, tn, len(req.Cells), forwarded) {
+	if !s.admitTenant(w, tn, len(cells), forwarded) {
 		return
 	}
-	s.met.Cells.Add(uint64(len(req.Cells)))
+	s.met.Cells.Add(uint64(len(cells)))
 	if forwarded {
-		s.met.ForwardedServed.Add(uint64(len(req.Cells)))
+		s.met.ForwardedServed.Add(uint64(len(cells)))
 	}
 
-	results := make([]ExplainResult, len(req.Cells))
-	tickets := make([]*ticket, len(req.Cells))
-	policies := make([]string, len(req.Cells))
-	for i, cell := range req.Cells {
+	results := make([]ExplainResult, len(cells))
+	tickets := make([]*ticket, len(cells))
+	policies := make([]string, len(cells))
+	for i, cell := range cells {
 		canon, err := Canonicalize(cell, s.cfg.MaxInstsCap)
 		if err != nil {
 			results[i] = ExplainResult{Error: &WireError{Code: CodeInvalid, Message: err.Error()}}

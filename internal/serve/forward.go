@@ -133,10 +133,9 @@ func lifecycleReject(err error) bool {
 // give an authoritative answer" and the caller must compute locally; it
 // is never an error the client sees.
 func (s *Server) forwardToOwner(key string, c Request, tn *tenant, owner string) (out outcome, cached, ok bool) {
-	body, err := json.Marshal(SimulateRequest{Cells: []Request{c}})
-	if err != nil {
-		return outcome{}, false, false
-	}
+	// Sized for one pass: escaping grows JSONL traces by about a fifth.
+	n := len(c.Source) + len(c.Trace)
+	body := appendCells(make([]byte, 0, 256+n+n/4), []Request{c})
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "application/json")
 	hdr.Set(HeaderForwarded, CodeVersion)

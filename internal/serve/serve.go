@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -843,23 +844,77 @@ func (s *Server) observeLatency(start time.Time) {
 	s.met.LatencyMs.Observe(time.Since(start).Milliseconds())
 }
 
-// readJSON decodes a request body into v, distinguishing an oversized
-// body (413, so clients learn the actual problem) from malformed JSON
-// (400). On failure the error response has been written.
+// readJSON decodes a request body into v with encoding/json; the cells
+// bodies of simulate and explain go through readCells instead. On failure
+// the error response has been written.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, &WireError{
-				Code: CodeInvalid, Message: fmt.Sprintf("request body above limit %d bytes", mbe.Limit)})
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tokErr := dec.Token(); tokErr != io.EOF {
+			err = errors.New("data after the top-level value")
 		}
-		writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: "bad request body: " + err.Error()})
+	}
+	if err != nil {
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// readCells reads and decodes a {"cells":[...]} body with the wire codec
+// (wire.go). On failure the error response has been written.
+func readCells(w http.ResponseWriter, r *http.Request) ([]Request, bool) {
+	var cells []Request
+	body, err := readBody(w, r)
+	if err == nil {
+		cells, err = decodeCells(body)
+	}
+	if err != nil {
+		writeBodyError(w, err)
+		return nil, false
+	}
+	return cells, true
+}
+
+// readBody reads the whole body into one buffer of at most maxBodyBytes.
+// The buffer doubles as it fills; Content-Length only caps a doubling, so
+// an honest length makes the last step exact and a false one costs at
+// most twice what actually arrived, never the length it claimed.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	buf := make([]byte, 0, 512)
+	for {
+		if len(buf) == cap(buf) {
+			// One byte past the limit lets MaxBytesReader report it.
+			n := min(2*cap(buf), maxBodyBytes+1)
+			if cl := r.ContentLength; cl >= int64(len(buf)) && cl < int64(n) {
+				n = int(cl) + 1 // room to read EOF without growing again
+			}
+			buf = append(make([]byte, 0, n), buf...)
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// writeBodyError answers an unreadable body: 413 for one over
+// maxBodyBytes, so clients learn the actual problem, else 400.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeError(w, http.StatusRequestEntityTooLarge, &WireError{
+			Code: CodeInvalid, Message: fmt.Sprintf("request body above limit %d bytes", mbe.Limit)})
+		return
+	}
+	writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: "bad request body: " + err.Error()})
 }
 
 // isForwarded reports whether the request already took one cluster hop.
@@ -954,32 +1009,32 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	forwarded := isForwarded(r)
-	var req SimulateRequest
-	if !readJSON(w, r, &req) {
+	cells, ok := readCells(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Cells) == 0 {
+	if len(cells) == 0 {
 		writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: "no cells in request"})
 		return
 	}
-	if len(req.Cells) > s.cfg.MaxCellsPerRequest {
+	if len(cells) > s.cfg.MaxCellsPerRequest {
 		writeError(w, http.StatusBadRequest, &WireError{
-			Code: CodeInvalid, Message: fmt.Sprintf("%d cells above per-request limit %d", len(req.Cells), s.cfg.MaxCellsPerRequest)})
+			Code: CodeInvalid, Message: fmt.Sprintf("%d cells above per-request limit %d", len(cells), s.cfg.MaxCellsPerRequest)})
 		return
 	}
-	if !s.admitTenant(w, tn, len(req.Cells), forwarded) {
+	if !s.admitTenant(w, tn, len(cells), forwarded) {
 		return
 	}
-	s.met.Cells.Add(uint64(len(req.Cells)))
+	s.met.Cells.Add(uint64(len(cells)))
 	if forwarded {
-		s.met.ForwardedServed.Add(uint64(len(req.Cells)))
+		s.met.ForwardedServed.Add(uint64(len(cells)))
 	}
 
 	// Submit every valid cell before awaiting any, so the whole batch
 	// lands in the dispatcher's current round and runs concurrently.
-	results := make([]CellResult, len(req.Cells))
-	tickets := make([]*ticket, len(req.Cells))
-	for i, cell := range req.Cells {
+	results := make([]CellResult, len(cells))
+	tickets := make([]*ticket, len(cells))
+	for i, cell := range cells {
 		canon, err := Canonicalize(cell, s.cfg.MaxInstsCap)
 		if err != nil {
 			results[i] = CellResult{Error: &WireError{Code: CodeInvalid, Message: err.Error()}}

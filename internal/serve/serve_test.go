@@ -133,25 +133,38 @@ func decodeTo(t *testing.T, body []byte, v any) {
 }
 
 // TestSimulateBadRequests is the table-driven 400 lane: malformed JSON,
-// unknown fields, empty and oversized batches all produce a well-formed
-// error body with code "invalid".
+// unknown fields, empty and oversized batches, data after the body's
+// value and repeated keys all produce a well-formed error body with code
+// "invalid".
 func TestSimulateBadRequests(t *testing.T) {
 	runner := newFakeRunner(false)
 	_, ts := newTestServer(t, Config{runCell: runner.run, MaxCellsPerRequest: 2})
 
+	cell := `{"kind":"cell","benchmark":"compress","plan":"S1"}`
 	cases := []struct {
 		name string
+		path string // default /v1/simulate
 		body string
 	}{
-		{"malformed-json", `{"cells": [`},
-		{"not-json", `this is not json`},
-		{"unknown-field", `{"cellz": []}`},
-		{"empty-batch", `{"cells": []}`},
-		{"too-many-cells", `{"cells": [{"kind":"cell"},{"kind":"cell"},{"kind":"cell"}]}`},
+		{"malformed-json", "", `{"cells": [`},
+		{"not-json", "", `this is not json`},
+		{"unknown-field", "", `{"cellz": []}`},
+		{"empty-batch", "", `{"cells": []}`},
+		{"too-many-cells", "", `{"cells": [{"kind":"cell"},{"kind":"cell"},{"kind":"cell"}]}`},
+		{"second-body", "", `{"cells":[` + cell + `]}{"cells":[` + cell + `]}`},
+		{"trailing-garbage", "", `{"cells":[` + cell + `]} x`},
+		{"duplicate-key", "", `{"cells":[{"kind":"cell","benchmark":"compress","benchmark":"espresso","plan":"S1"}]}`},
+		{"duplicate-folded-key", "", `{"cells":[{"kind":"cell","benchmark":"compress","plan":"S1","PLAN":"N"}]}`},
+		{"explain-trailing-garbage", "/v1/explain", `{"cells":[` + cell + `]}]`},
+		{"experiment-second-body", "/v1/experiment", `{"name":"fig3"}{"name":"fig3"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(tc.body))
+			path := tc.path
+			if path == "" {
+				path = "/v1/simulate"
+			}
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -479,7 +492,29 @@ func TestMetricsEndpoint(t *testing.T) {
 // round and runs under the pool concurrently (not serially per cell).
 func TestBatchedCellsRunInOneRound(t *testing.T) {
 	runner := newFakeRunner(true)
-	s, ts := newTestServer(t, Config{runCell: runner.run, Workers: 4, MaxBatch: 8})
+	// A held cell keeps the dispatcher busy while the batch is submitted;
+	// otherwise a dispatcher woken by the first submit may start a round
+	// before the other two are queued.
+	hold := make(chan struct{})
+	s, ts := newTestServer(t, Config{Workers: 4, MaxBatch: 8, runCell: func(ctx context.Context, c Request) outcome {
+		if c.Benchmark == "ear" {
+			<-hold
+			return outcome{run: &stats.Run{}}
+		}
+		return runner.run(ctx, c)
+	}})
+	releaseHold, releaseRunner := sync.OnceFunc(func() { close(hold) }), sync.OnceFunc(func() { close(runner.release) })
+	t.Cleanup(releaseHold) // a failed test must not leave the server waiting on these
+	t.Cleanup(releaseRunner)
+	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("ear", "S1", "ooo")}})
+	deadline := time.After(5 * time.Second)
+	for s.met.Inflight.Load() != 1 || s.queue.depth() != 0 {
+		select {
+		case <-deadline:
+			t.Fatal("held cell never reached the pool")
+		case <-time.After(time.Millisecond):
+		}
+	}
 
 	done := make(chan []byte, 1)
 	go func() {
@@ -490,6 +525,8 @@ func TestBatchedCellsRunInOneRound(t *testing.T) {
 		}})
 		done <- body
 	}()
+	waitForQueued(t, s, 3)
+	releaseHold()
 
 	// All three computations start before any completes — they are in
 	// flight together on the pool.
@@ -500,7 +537,7 @@ func TestBatchedCellsRunInOneRound(t *testing.T) {
 			t.Fatalf("only %d of 3 batched cells started concurrently", i)
 		}
 	}
-	close(runner.release)
+	releaseRunner()
 	sr := decodeSim(t, <-done)
 	if len(sr.Results) != 3 {
 		t.Fatalf("got %d results, want 3", len(sr.Results))
@@ -568,6 +605,32 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 	if runner.total() != 0 {
 		t.Fatalf("oversized requests reached the runner %d times", runner.total())
+	}
+}
+
+// TestReadBodyContentLengthIsOnlyAHint: a body buffer is sized by what
+// arrives. A Content-Length claiming 64 MB over a 10-byte body costs a
+// small buffer, and an honest length makes the last doubling exact.
+func TestReadBodyContentLengthIsOnlyAHint(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		body   string
+		claim  int64
+		maxCap int
+	}{
+		{"false-claim", `{"cells":[]}`, maxBodyBytes, 512},
+		{"honest", strings.Repeat("x", 100_000), 100_000, 100_001},
+		{"no-length", strings.Repeat("x", 100_000), -1, 131_072},
+	} {
+		r := httptest.NewRequest("POST", "/v1/simulate", strings.NewReader(tc.body))
+		r.ContentLength = tc.claim
+		buf, err := readBody(httptest.NewRecorder(), r)
+		if err != nil || string(buf) != tc.body {
+			t.Fatalf("%s: read %d bytes, %v", tc.name, len(buf), err)
+		}
+		if cap(buf) > tc.maxCap {
+			t.Errorf("%s: %d-byte body took a %d-byte buffer, want at most %d", tc.name, len(buf), cap(buf), tc.maxCap)
+		}
 	}
 }
 

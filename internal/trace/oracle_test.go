@@ -157,7 +157,7 @@ func withBlockBytes(t testing.TB, n int) {
 }
 
 // record runs prog on cfg with a full JSONL trace and returns the trace.
-func record(t *testing.T, cfg core.Config, prog *isa.Program) []byte {
+func record(t testing.TB, cfg core.Config, prog *isa.Program) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf, 1)
@@ -201,7 +201,7 @@ func progenTraces(t *testing.T, seeds int) []recordedTrace {
 // benchTraces records the two traces the trace benchmarks replay: a
 // miss-heavy FP benchmark in order and a hit-heavy INT benchmark out of
 // order, both under the 1-instruction single-handler plan (S1).
-func benchTraces(t *testing.T) []recordedTrace {
+func benchTraces(t testing.TB) []recordedTrace {
 	var out []recordedTrace
 	for _, c := range []struct {
 		bench string
