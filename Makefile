@@ -30,6 +30,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/isa
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace
+	$(GO) test -run=^$$ -fuzz=FuzzParseLine -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCells -fuzztime=10s ./internal/serve
 
 # fuzz-diff is the cross-engine differential fuzzer (internal/progen):
@@ -157,9 +158,12 @@ policy-smoke:
 	$(GO) test -run 'TestExplain' ./internal/serve/
 
 # verify is the full CI gate: build, vet, race-enabled tests, fuzz seeds.
+# The one-iteration pass over the trace parser's benchmarks keeps the
+# benchmarks behind EXPERIMENTS.md "Ingest speed" running.
 verify: build
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -bench 'ParseLine|Load' -benchtime 1x ./internal/trace
 	$(MAKE) fuzz
 	$(MAKE) fuzz-diff
 	$(MAKE) bench-smoke

@@ -21,21 +21,43 @@
 //     reconcile the result against the originating stats.Run.
 package trace
 
+// Key indices, in the order the encoder writes the keys
+// (obs.appendTraceJSON); ParseLine predicts the next key from it. Bit k
+// of Event.Fields is key k.
+const (
+	keySeq = iota
+	keyPC
+	keyDisasm
+	keyFetch
+	keyIssue
+	keyComplete
+	keyGraduate
+	keyLevel
+	keyAddr
+	keyKind
+	keyTid
+	keyTrap
+	numKeys
+)
+
+// keyNames are the wire names of the keys, by index.
+var keyNames = [numKeys]string{"seq", "pc", "disasm", "fetch", "issue", "complete", "graduate", "level", "addr", "kind", "tid", "trap"}
+
 // Field-presence bits for Event. ParseLine records which keys appeared on
 // the wire; Validate uses them for the required-field and pairing rules.
 const (
-	FieldSeq = 1 << iota
-	FieldPC
-	FieldDisasm
-	FieldFetch
-	FieldIssue
-	FieldComplete
-	FieldGraduate
-	FieldLevel
-	FieldAddr
-	FieldKind
-	FieldTid
-	FieldTrap
+	FieldSeq      = 1 << keySeq
+	FieldPC       = 1 << keyPC
+	FieldDisasm   = 1 << keyDisasm
+	FieldFetch    = 1 << keyFetch
+	FieldIssue    = 1 << keyIssue
+	FieldComplete = 1 << keyComplete
+	FieldGraduate = 1 << keyGraduate
+	FieldLevel    = 1 << keyLevel
+	FieldAddr     = 1 << keyAddr
+	FieldKind     = 1 << keyKind
+	FieldTid      = 1 << keyTid
+	FieldTrap     = 1 << keyTrap
 )
 
 // requiredFields are the schema-v1 keys every line must carry.

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrParse wraps every syntax-level rejection from ParseLine so callers
@@ -17,134 +19,222 @@ func parseErr(format string, args ...any) error {
 // keys, duplicate keys, malformed escapes, non-integer numbers and
 // trailing bytes after the closing brace are all errors — and it does not
 // allocate: numeric fields are accumulated in place and ev.Disasm is a
-// view into line (valid only while line's buffer is).
+// view into line (valid only while line's buffer is). The fields of keys
+// the line does not carry are zero; after an error, ev holds nothing
+// meaningful.
 //
-// ParseLine replaced the per-line json.Decoder in cmd/tracecheck (which
-// converted every line twice and allocated a decoder per line); a
-// differential test pins its accept/reject behavior against
-// encoding/json with DisallowUnknownFields.
+// Against encoding/json with DisallowUnknownFields, a differential test
+// and FuzzParseLine pin its accept/reject behavior and every field it
+// decodes. It is stricter in ways the encoder never needs: a repeated
+// key, data after the object, null for any value, a key in another case
+// ("SEQ") or spelled with escapes ("s\u0065q"), and pc, addr, kind and
+// tid values outside the schema (pc and addr are "0x<hex>" strings
+// without escapes, kind is "load" or "store", tid an unsigned integer up
+// to 1<<20).
+//
+// Keys are matched in one loop. Before scanning a key, the loop checks
+// whether the line holds the key the encoder writes next
+// (obs.appendTraceJSON's order), with one or two word compares; any
+// other key, or whitespace before it, goes through the general scan and
+// lookup. The order is only a hint: any order and spacing of the same
+// members parses to the same Event.
 func ParseLine(line []byte, ev *Event) error {
-	*ev = Event{}
-	i := skipWS(line, 0)
-	if i >= len(line) || line[i] != '{' {
-		return parseErr("expected '{'")
+	i := 0
+	if len(line) == 0 || line[0] != '{' {
+		if i = skipWS(line, 0); i >= len(line) || line[i] != '{' {
+			return parseErr("expected '{'")
+		}
 	}
-	i = skipWS(line, i+1)
-	if i < len(line) && line[i] == '}' {
-		// Empty object: syntactically fine; Validate rejects it for the
-		// missing required fields.
-		return expectEnd(line, i+1)
-	}
-	for {
-		key, j, err := scanString(line, i)
-		if err != nil {
-			return err
-		}
-		i = skipWS(line, j)
-		if i >= len(line) || line[i] != ':' {
-			return parseErr("expected ':' after key %q", key)
-		}
-		i = skipWS(line, i+1)
-		if i, err = parseField(line, i, key, ev); err != nil {
-			return err
-		}
-		i = skipWS(line, i)
-		if i >= len(line) {
-			return parseErr("unterminated object")
-		}
-		switch line[i] {
-		case ',':
-			i = skipWS(line, i+1)
-		case '}':
+	i++
+	if i >= len(line) || line[i] != '"' {
+		if i = skipWS(line, i); i < len(line) && line[i] == '}' {
+			// Empty object: syntactically fine; Validate rejects it for the
+			// missing required fields.
+			ev.setFields(0)
 			return expectEnd(line, i+1)
-		default:
-			return parseErr("expected ',' or '}' after value of %q", key)
 		}
 	}
-}
-
-// parseField dispatches one key's value. It returns the index just past
-// the value.
-func parseField(line []byte, i int, key []byte, ev *Event) (int, error) {
-	set := func(f uint32) error {
-		if ev.Fields&f != 0 {
-			return parseErr("duplicate key %q", key)
-		}
-		ev.Fields |= f
-		return nil
-	}
-	var err error
-	switch string(key) {
-	case "seq":
-		if err = set(FieldSeq); err == nil {
-			ev.Seq, i, err = scanUint(line, i, key)
-		}
-	case "pc":
-		if err = set(FieldPC); err == nil {
-			ev.PC, i, err = scanHexString(line, i, key)
-		}
-	case "disasm":
-		if err = set(FieldDisasm); err == nil {
-			ev.Disasm, i, err = scanString(line, i)
-		}
-	case "fetch":
-		if err = set(FieldFetch); err == nil {
-			ev.Fetch, i, err = scanInt(line, i, key)
-		}
-	case "issue":
-		if err = set(FieldIssue); err == nil {
-			ev.Issue, i, err = scanInt(line, i, key)
-		}
-	case "complete":
-		if err = set(FieldComplete); err == nil {
-			ev.Complete, i, err = scanInt(line, i, key)
-		}
-	case "graduate":
-		if err = set(FieldGraduate); err == nil {
-			ev.Graduate, i, err = scanInt(line, i, key)
-		}
-	case "level":
-		if err = set(FieldLevel); err == nil {
-			var v int64
-			v, i, err = scanInt(line, i, key)
-			ev.Level = int(v)
-		}
-	case "addr":
-		if err = set(FieldAddr); err == nil {
-			ev.Addr, i, err = scanHexString(line, i, key)
-		}
-	case "kind":
-		if err = set(FieldKind); err == nil {
-			var body []byte
-			body, i, err = scanString(line, i)
-			if err == nil {
-				switch string(body) {
-				case "load":
-					ev.Store = false
-				case "store":
-					ev.Store = true
-				default:
-					err = parseErr("kind %q, want \"load\" or \"store\"", body)
-				}
+	var seen uint32
+	for next := keySeq; ; {
+		k := next
+		if n := keyToken(line[i:], next); n > 0 {
+			i += n
+		} else {
+			i = skipWS(line, i)
+			key, j, err := scanString(line, i)
+			if err != nil {
+				return err
+			}
+			if i = skipWS(line, j); i >= len(line) || line[i] != ':' {
+				return parseErr("expected ':' after key %q", key)
+			}
+			i++
+			if k = lookupKey(key); k < 0 {
+				return parseErr("unknown key %q", key)
 			}
 		}
-	case "tid":
-		if err = set(FieldTid); err == nil {
+		if seen&(1<<k) != 0 {
+			return parseErr("duplicate key %q", keyNames[k])
+		}
+		seen |= 1 << k
+		if i < len(line) && line[i] <= ' ' {
+			i = skipWS(line, i)
+		}
+
+		next = k + 1
+		var err error
+		switch k {
+		case keySeq:
+			ev.Seq, i, err = scanUint(line, i, k)
+		case keyPC:
+			ev.PC, i, err = scanHexString(line, i, k)
+		case keyDisasm:
+			ev.Disasm, i, err = scanString(line, i)
+		case keyFetch:
+			ev.Fetch, i, err = scanInt(line, i, k)
+		case keyIssue:
+			ev.Issue, i, err = scanInt(line, i, k)
+		case keyComplete:
+			ev.Complete, i, err = scanInt(line, i, k)
+		case keyGraduate:
+			ev.Graduate, i, err = scanInt(line, i, k)
+		case keyLevel:
+			var v int64
+			v, i, err = scanInt(line, i, k)
+			ev.Level = int(v)
+			if v <= 0 { // the encoder writes addr and kind on memory events only
+				next = keyTrap
+			}
+		case keyAddr:
+			ev.Addr, i, err = scanHexString(line, i, k)
+		case keyKind:
+			ev.Store, i, err = scanKind(line, i)
+			next = keyTrap // tid, written only when nonzero, is rare
+		case keyTid:
 			var v uint64
-			v, i, err = scanUint(line, i, key)
+			v, i, err = scanUint(line, i, k)
 			if err == nil && v > 1<<20 {
 				err = parseErr("tid %d out of range", v)
 			}
 			ev.Tid = int(v)
+		case keyTrap:
+			ev.Trap, i, err = scanBool(line, i, k)
 		}
-	case "trap":
-		if err = set(FieldTrap); err == nil {
-			ev.Trap, i, err = scanBool(line, i, key)
+		if err != nil {
+			return err
 		}
-	default:
-		err = parseErr("unknown key %q", key)
+
+		if i < len(line) && line[i] == ',' {
+			i++
+			continue
+		}
+		if i = skipWS(line, i); i >= len(line) {
+			return parseErr("unterminated object")
+		}
+		switch line[i] {
+		case ',':
+			i++
+		case '}':
+			ev.setFields(seen)
+			return expectEnd(line, i+1)
+		default:
+			return parseErr("expected ',' or '}' after value of %q", keyNames[k])
+		}
 	}
-	return i, err
+}
+
+// A keyTok is the token `"name":` that opens a member with one key, as
+// two little-endian words and the masks of its bytes in them.
+type keyTok struct {
+	word, mask [2]uint64
+	n          int // token length, at most 16
+}
+
+// keyToks holds the token of each key, plus one that matches nothing for
+// the prediction after the last key.
+var keyToks = func() (t [numKeys + 1]keyTok) {
+	for k, name := range keyNames {
+		var b [16]byte
+		tok := `"` + name + `":`
+		copy(b[:], tok)
+		for w := range t[k].word {
+			t[k].word[w] = binary.LittleEndian.Uint64(b[8*w:])
+			if m := len(tok) - 8*w; m > 0 {
+				t[k].mask[w] = 1<<(8*min(m, 8)) - 1
+			}
+		}
+		t[k].n = len(tok)
+	}
+	t[numKeys].word[0] = 1 // under a zero mask: never equal
+	return t
+}()
+
+// keyToken returns the length of key k's token when b starts with it,
+// and 0 otherwise: a compare of one or two masked words, no call.
+func keyToken(b []byte, k int) int {
+	t := &keyToks[k]
+	if len(b) < 8 || binary.LittleEndian.Uint64(b)&t.mask[0] != t.word[0] {
+		return 0
+	}
+	if t.n > 8 && (len(b) < 16 || binary.LittleEndian.Uint64(b[8:])&t.mask[1] != t.word[1]) {
+		return 0
+	}
+	return t.n
+}
+
+// lookupKey returns the index of the key whose still-escaped body is key,
+// or -1. Names match exactly: no case folding and no unescaping.
+func lookupKey(key []byte) int {
+	for k, name := range keyNames {
+		if string(key) == name {
+			return k
+		}
+	}
+	return -1
+}
+
+// setFields records the keys seen and zeroes the fields of the others.
+func (e *Event) setFields(seen uint32) {
+	e.Fields = seen
+	if seen&FieldTid == 0 {
+		e.Tid = 0
+	}
+	if seen&FieldAddr == 0 {
+		e.Addr = 0
+	}
+	if seen&FieldKind == 0 {
+		e.Store = false
+	}
+	if seen&requiredFields == requiredFields {
+		return
+	}
+	if seen&FieldSeq == 0 {
+		e.Seq = 0
+	}
+	if seen&FieldPC == 0 {
+		e.PC = 0
+	}
+	if seen&FieldDisasm == 0 {
+		e.Disasm = nil
+	}
+	if seen&FieldFetch == 0 {
+		e.Fetch = 0
+	}
+	if seen&FieldIssue == 0 {
+		e.Issue = 0
+	}
+	if seen&FieldComplete == 0 {
+		e.Complete = 0
+	}
+	if seen&FieldGraduate == 0 {
+		e.Graduate = 0
+	}
+	if seen&FieldLevel == 0 {
+		e.Level = 0
+	}
+	if seen&FieldTrap == 0 {
+		e.Trap = false
+	}
 }
 
 func skipWS(b []byte, i int) int {
@@ -166,6 +256,16 @@ func expectEnd(b []byte, i int) error {
 	return nil
 }
 
+// strStop marks the bytes that end a run of plain string bytes: the
+// quote, the backslash and the control characters JSON forbids raw.
+var strStop = func() (t [256]bool) {
+	for c := 0; c < 0x20; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'] = true, true
+	return t
+}()
+
 // scanString scans a JSON string at b[i] and returns the still-escaped
 // body (the bytes between the quotes). Escape sequences are checked for
 // shape; invalid UTF-8 passes through, matching encoding/json's lenient
@@ -175,12 +275,17 @@ func scanString(b []byte, i int) (body []byte, next int, err error) {
 		return nil, i, parseErr("expected string")
 	}
 	start := i + 1
-	for j := start; j < len(b); {
-		c := b[j]
-		switch {
-		case c == '"':
+	for j := start; ; {
+		for j < len(b) && !strStop[b[j]] {
+			j++
+		}
+		if j >= len(b) {
+			return nil, i, parseErr("unterminated string")
+		}
+		switch b[j] {
+		case '"':
 			return b[start:j], j + 1, nil
-		case c == '\\':
+		case '\\':
 			if j+1 >= len(b) {
 				return nil, j, parseErr("unterminated escape")
 			}
@@ -195,108 +300,161 @@ func scanString(b []byte, i int) (body []byte, next int, err error) {
 			default:
 				return nil, j, parseErr("bad escape '\\%c'", b[j+1])
 			}
-		case c < 0x20:
-			return nil, j, parseErr("raw control character in string")
 		default:
-			j++
+			return nil, j, parseErr("raw control character in string")
 		}
 	}
-	return nil, i, parseErr("unterminated string")
 }
 
-func isHex4(b []byte) bool {
-	for _, c := range b {
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F') {
-			return false
-		}
+// hexVal maps a hex digit to its value and every other byte to 0xff.
+var hexVal = func() (t [256]byte) {
+	for c := range t {
+		t[c] = 0xff
 	}
-	return true
+	for c := '0'; c <= '9'; c++ {
+		t[c] = byte(c - '0')
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c] = byte(c-'a') + 10
+		t[c-'a'+'A'] = byte(c-'a') + 10
+	}
+	return t
+}()
+
+func isHex4(b []byte) bool {
+	return hexVal[b[0]]|hexVal[b[1]]|hexVal[b[2]]|hexVal[b[3]] != 0xff
 }
 
 // scanUint scans a non-negative JSON integer (no sign, fraction,
-// exponent or leading zeros).
-func scanUint(b []byte, i int, key []byte) (uint64, int, error) {
+// exponent or leading zeros). Up to eight digits are read at once as one
+// word; any further digits go one by one, and only from the 20th on
+// does a digit need an overflow check, since every 19-digit number fits
+// in a uint64.
+func scanUint(b []byte, i, k int) (uint64, int, error) {
 	start := i
 	var v uint64
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		d := uint64(b[i] - '0')
-		if v > (1<<64-1-d)/10 {
-			return 0, i, parseErr("%q overflows uint64", key)
+	n := uint(8) // digits read as a word
+	if len(b)-i >= 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		n = digitRun(x)
+		// The shift drops the bytes after the digits and puts zero
+		// bytes, read as leading zeros, in front of them.
+		v = eightDigits(x << (64 - 8*n))
+		i += int(n)
+	}
+	if n == 8 {
+		for ; i < len(b); i++ {
+			d := uint64(b[i] - '0')
+			if d > 9 {
+				break
+			}
+			if i-start >= 19 && v > (1<<64-1-d)/10 {
+				return 0, i, parseErr("%q overflows uint64", keyNames[k])
+			}
+			v = v*10 + d
 		}
-		v = v*10 + d
-		i++
 	}
 	switch {
 	case i == start:
-		return 0, i, parseErr("%q: expected unsigned integer", key)
+		return 0, i, parseErr("%q: expected unsigned integer", keyNames[k])
 	case b[start] == '0' && i-start > 1:
-		return 0, i, parseErr("%q: leading zero", key)
+		return 0, i, parseErr("%q: leading zero", keyNames[k])
 	}
 	return v, i, nil
 }
 
+// digitRun returns how many of the eight bytes of x, taken from the low
+// byte up, are ASCII digits before the first byte that is not. A byte
+// is flagged when subtracting '0' wraps (below '0') or adding 0x80-('9'+1)
+// sets its top bit (above '9'); bytes below the first flagged one are
+// digits, so no borrow or carry reaches it.
+func digitRun(x uint64) uint {
+	const ones = 0x0101010101010101
+	flags := ((x - '0'*ones) | (x + (0x80-'9'-1)*ones)) & (0x80 * ones)
+	return uint(bits.TrailingZeros64(flags)) >> 3
+}
+
+// eightDigits returns the value of the eight decimal digits in x, the
+// most significant in the low byte; a zero byte reads as a 0 digit. It
+// folds neighbouring digits, then pairs, then quads, with one multiply
+// each.
+func eightDigits(x uint64) uint64 {
+	x = (x & 0x0f0f0f0f0f0f0f0f) * (10<<8 + 1) >> 8
+	x = (x & 0x00ff00ff00ff00ff) * (100<<16 + 1) >> 16
+	return (x & 0x0000ffff0000ffff) * (10000<<32 + 1) >> 32
+}
+
 // scanInt scans a JSON integer with optional leading minus.
-func scanInt(b []byte, i int, key []byte) (int64, int, error) {
+func scanInt(b []byte, i, k int) (int64, int, error) {
 	neg := false
 	if i < len(b) && b[i] == '-' {
 		neg = true
 		i++
 	}
-	v, i, err := scanUint(b, i, key)
+	v, i, err := scanUint(b, i, k)
 	if err != nil {
 		return 0, i, err
 	}
 	if neg {
 		if v > 1<<63 {
-			return 0, i, parseErr("%q overflows int64", key)
+			return 0, i, parseErr("%q overflows int64", keyNames[k])
 		}
 		return -int64(v), i, nil
 	}
 	if v > 1<<63-1 {
-		return 0, i, parseErr("%q overflows int64", key)
+		return 0, i, parseErr("%q overflows int64", keyNames[k])
 	}
 	return int64(v), i, nil
 }
 
 // scanHexString scans a JSON string of the form "0x<hex>" (the schema's
 // pc/addr encoding) into a uint64.
-func scanHexString(b []byte, i int, key []byte) (uint64, int, error) {
+func scanHexString(b []byte, i, k int) (uint64, int, error) {
 	body, next, err := scanString(b, i)
 	if err != nil {
 		return 0, next, err
 	}
 	if len(body) < 3 || body[0] != '0' || body[1] != 'x' {
-		return 0, next, parseErr("%q value %q not hex (want 0x prefix)", key, body)
+		return 0, next, parseErr("%q value %q not hex (want 0x prefix)", keyNames[k], body)
 	}
 	var v uint64
-	for _, c := range body[2:] {
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, next, parseErr("%q value %q not hex", key, body)
+	for j, c := range body[2:] {
+		d := hexVal[c]
+		if d > 0xf {
+			return 0, next, parseErr("%q value %q not hex", keyNames[k], body)
 		}
-		if v > 1<<60-1 {
-			return 0, next, parseErr("%q value %q overflows uint64", key, body)
+		// Sixteen digits always fit.
+		if j >= 16 && v > 1<<60-1 {
+			return 0, next, parseErr("%q value %q overflows uint64", keyNames[k], body)
 		}
-		v = v<<4 | d
+		v = v<<4 | uint64(d)
 	}
 	return v, next, nil
 }
 
-func scanBool(b []byte, i int, key []byte) (bool, int, error) {
+// scanKind scans the kind value, "load" or "store", into Event.Store.
+func scanKind(b []byte, i int) (store bool, next int, err error) {
+	if len(b)-i >= 6 && string(b[i:i+6]) == `"load"` {
+		return false, i + 6, nil
+	}
+	if len(b)-i >= 7 && string(b[i:i+7]) == `"store"` {
+		return true, i + 7, nil
+	}
+	body, next, err := scanString(b, i)
+	if err == nil {
+		err = parseErr("kind %q, want \"load\" or \"store\"", body)
+	}
+	return false, next, err
+}
+
+func scanBool(b []byte, i, k int) (bool, int, error) {
 	if len(b)-i >= 4 && string(b[i:i+4]) == "true" {
 		return true, i + 4, nil
 	}
 	if len(b)-i >= 5 && string(b[i:i+5]) == "false" {
 		return false, i + 5, nil
 	}
-	return false, i, parseErr("%q: expected true or false", key)
+	return false, i, parseErr("%q: expected true or false", keyNames[k])
 }
 
 // Validate applies the schema's semantic rules to a parsed event. The
@@ -315,7 +473,7 @@ func scanBool(b []byte, i int, key []byte) (bool, int, error) {
 //     compatibility) but are not replayable.
 func (e *Event) Validate() error {
 	if miss := requiredFields &^ e.Fields; miss != 0 {
-		return fmt.Errorf("trace: missing required field %s", fieldName(miss))
+		return fmt.Errorf("trace: missing required field %s", keyNames[bits.TrailingZeros32(miss)])
 	}
 	if len(e.Disasm) == 0 {
 		return errors.New("trace: empty disasm")
@@ -342,24 +500,4 @@ func (e *Event) Validate() error {
 		return errors.New("trace: addr/kind on a non-memory event (level 0)")
 	}
 	return nil
-}
-
-// fieldName names the lowest set bit of a field mask, for error text.
-func fieldName(mask uint32) string {
-	names := []struct {
-		f    uint32
-		name string
-	}{
-		{FieldSeq, "seq"}, {FieldPC, "pc"}, {FieldDisasm, "disasm"},
-		{FieldFetch, "fetch"}, {FieldIssue, "issue"},
-		{FieldComplete, "complete"}, {FieldGraduate, "graduate"},
-		{FieldLevel, "level"}, {FieldAddr, "addr"}, {FieldKind, "kind"},
-		{FieldTid, "tid"}, {FieldTrap, "trap"},
-	}
-	for _, n := range names {
-		if mask&n.f != 0 {
-			return n.name
-		}
-	}
-	return "?"
 }
