@@ -158,12 +158,14 @@ policy-smoke:
 	$(GO) test -run 'TestExplain' ./internal/serve/
 
 # verify is the full CI gate: build, vet, race-enabled tests, fuzz seeds.
-# The one-iteration pass over the trace parser's benchmarks keeps the
-# benchmarks behind EXPERIMENTS.md "Ingest speed" running.
+# The one-iteration passes over the trace parser's and the replay sweep's
+# benchmarks keep the benchmarks behind EXPERIMENTS.md "Ingest speed" and
+# "Replay sweep speed" running.
 verify: build
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench 'ParseLine|Load' -benchtime 1x ./internal/trace
+	$(GO) test -run '^$$' -bench 'TraceSweep|NewHierarchy' -benchtime 1x ./internal/experiments
 	$(MAKE) fuzz
 	$(MAKE) fuzz-diff
 	$(MAKE) bench-smoke

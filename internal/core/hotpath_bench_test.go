@@ -157,8 +157,8 @@ func BenchmarkHotpathFig2Cell(b *testing.B) {
 // inorder schedulers, including the memoized cache and data-memory paths)
 // must not allocate per dynamic instruction. The miss taxonomy is always
 // enabled on the data hierarchy, so every cell here also gates the
-// classifier's hot path (the shadow's preallocated node pool; the seen
-// filter's amortized map growth rides inside the budget); the policy
+// classifier's hot path (the tag table's and the shadow node pool's
+// amortized doubling rides inside the budget); the policy
 // cells gate the RRIP paths — including TRRIP, whose temperature history
 // is bounded at 1024 entries and must not grow with the run. Each cell
 // runs twice at different instruction counts; the allocation delta per

@@ -46,11 +46,13 @@ func (c CacheConfig) validate() error {
 //
 // A way memo (DESIGN.md §10) remembers the most recently hit or filled
 // (line, way) so the dominant same-line re-reference takes a single-compare
-// fast path instead of the set scan. Invariant: whenever memoOK is set,
-// ways[memoIdx] is valid and holds tag memoLine. Every mutation that could
-// break the invariant — Invalidate, Flush, victim replacement — clears or
-// retargets the memo, so a memoized hit can never survive an invalidation
-// and Accesses/Misses/LRU state are bit-identical to the unmemoized cache.
+// fast path instead of the set scan, under every replacement policy.
+// Invariant: whenever memoOK is set, ways[memoIdx] is valid and holds tag
+// memoLine. Every mutation that could break the invariant — Invalidate,
+// Flush, victim replacement — clears or retargets the memo, so a memoized
+// hit can never survive an invalidation, and Accesses/Misses and the
+// replacement state (LRU stamps or Policy metadata) are bit-identical to
+// the unmemoized cache.
 type Cache struct {
 	cfg       CacheConfig
 	lineShift uint
@@ -139,21 +141,33 @@ func (c *Cache) set(addr uint64) []way {
 // eviction of a dirty line occurred, the evicted line address.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, writeback uint64, wb bool) {
 	tag := addr >> c.lineShift
-	if c.pol == nil && c.memoOK && c.memoLine == tag {
-		// Way-memo fast path: same line as the previous hit/fill.
-		c.Accesses++
-		c.stamp++
-		w := &c.ways[c.memoIdx]
-		w.used = c.stamp
-		if write {
-			w.dirty = true
-		}
-		if c.tax != nil {
-			c.tax.hit(tag, int(c.memoIdx))
-		}
+	if c.memoOK && c.memoLine == tag {
+		c.memoHit(tag, write)
 		return true, 0, false
 	}
 	return c.accessSlow(tag, write)
+}
+
+// memoHit is the way-memo fast path: a reference to the line the memo
+// names (the previous hit or fill) hits its way without a set scan, with
+// the same side effects the scan's hit would have — the LRU stamp, or
+// the policy's Touch on the memoized way.
+func (c *Cache) memoHit(tag uint64, write bool) {
+	c.Accesses++
+	w := &c.ways[c.memoIdx]
+	if c.pol == nil {
+		c.stamp++
+		w.used = c.stamp
+	} else {
+		base := int(tag&c.setMask) * c.cfg.Assoc
+		c.pol.Touch(c.polMeta[base:base+c.cfg.Assoc], int(c.memoIdx)-base)
+	}
+	if write {
+		w.dirty = true
+	}
+	if c.tax != nil {
+		c.tax.hit(tag, int(c.memoIdx))
+	}
 }
 
 // accessSlow is the full set scan; a single pass finds the hit way and, in
@@ -211,8 +225,8 @@ func (c *Cache) accessSlow(tag uint64, write bool) (hit bool, writeback uint64, 
 // first-invalid fill rule stay in the cache; replacement ordering (Touch/
 // Fill/Victim/Evict) belongs to the policy. The way memo is maintained
 // with the same invariant as the LRU path — the memoized (line, way)
-// always names a valid resident line — so Contains' memo consult stays
-// exact under every policy.
+// always names a valid resident line — so the memo paths of Access,
+// ProbeData and Contains stay exact under every policy.
 func (c *Cache) accessPolicy(tag uint64, write bool) (hit bool, writeback uint64, wb bool) {
 	c.Accesses++
 	base := int(tag&c.setMask) * c.cfg.Assoc

@@ -82,29 +82,20 @@ func NewHierarchy(cfg HierConfig) (*Hierarchy, error) {
 // (1 = L1, 2 = L2, 3 = memory), updating tag/LRU state with
 // allocate-on-miss at both levels.
 //
-// The fast path checks the L1 way memo inline (same package): a reference
-// to the last-hit L1 line resolves to LevelL1 after a single compare,
-// with the same Accesses/LRU side effects the full lookup would have.
-// Direct mutations of L1 (Invalidate, Flush) clear the memo, so the fast
-// path can never claim a hit on an absent line.
+// The fast path checks the L1 way memo first, under every replacement
+// policy: a reference to the last-hit or last-filled L1 line resolves to
+// LevelL1 after a single compare, with the side effects the full lookup
+// would have (Accesses, the LRU stamp or the policy's Touch, the
+// classifier's hit). Direct mutations of L1 (Invalidate, Flush) clear the
+// memo, so the fast path can never claim a hit on an absent line.
 func (h *Hierarchy) ProbeData(addr uint64, write bool) int {
 	l1 := h.L1
 	tag := addr >> l1.lineShift
-	if l1.pol == nil && l1.memoOK && l1.memoLine == tag {
-		h.Refs++
-		l1.Accesses++
-		l1.stamp++
-		w := &l1.ways[l1.memoIdx]
-		w.used = l1.stamp
-		if write {
-			w.dirty = true
-		}
-		if t := l1.tax; t != nil {
-			t.hit(tag, int(l1.memoIdx))
-		}
+	h.Refs++
+	if l1.memoOK && l1.memoLine == tag {
+		l1.memoHit(tag, write)
 		return 1
 	}
-	h.Refs++
 	if hit, _, _ := l1.accessSlow(tag, write); hit {
 		return 1
 	}

@@ -143,23 +143,29 @@ func (*brrip) Evict(tag uint64, m uint64) {}
 // hot (reused before eviction) insert near-imminent (RRPV 1); refills of
 // tags that proved cold insert distant (RRPV 3); unknown tags take the
 // SRRIP default (RRPV 2).
+//
+// The filter is a fixed open-addressed table (linear probing, keys tag+1,
+// 0 = empty) of twice the history's size, so it is at most half full; a
+// FIFO ring of the remembered tags bounds it, and the tag the ring
+// forgets leaves the table by backward-shift deletion, which keeps every
+// probe run unbroken without tombstones.
 type trrip struct {
-	temp map[uint64]uint8 // evicted tag -> tempHot/tempCold
-	ring []uint64         // FIFO of remembered tags, bounding temp
-	next int
+	keys  [trripSlots]uint64
+	temps [trripSlots]uint8 // tempHot/tempCold, parallel to keys; 0 when empty
+	ring  []uint64          // FIFO of remembered tags, bounding the table
+	next  int
 }
 
 const (
 	trripHistory = 1024
+	trripSlots   = 2 * trripHistory
+	trripMask    = trripSlots - 1
 	tempCold     = 1
 	tempHot      = 2
 )
 
 func newTRRIP() *trrip {
-	return &trrip{
-		temp: make(map[uint64]uint8, trripHistory),
-		ring: make([]uint64, 0, trripHistory),
-	}
+	return &trrip{ring: make([]uint64, 0, trripHistory)}
 }
 
 func (*trrip) Name() string { return "trrip" }
@@ -167,7 +173,8 @@ func (*trrip) Name() string { return "trrip" }
 func (*trrip) Touch(meta []uint64, w int) { meta[w] = reuseBit }
 
 func (t *trrip) Fill(meta []uint64, w int, tag uint64) {
-	switch t.temp[tag] {
+	i, _ := t.slot(tag) // an empty slot's temperature is 0: unknown
+	switch t.temps[i] {
 	case tempHot:
 		meta[w] = rrpvNear
 	case tempCold:
@@ -184,14 +191,46 @@ func (t *trrip) Evict(tag uint64, m uint64) {
 	if m&reuseBit != 0 {
 		temp = tempHot
 	}
-	if _, known := t.temp[tag]; !known {
+	i, known := t.slot(tag)
+	if !known {
 		if len(t.ring) < trripHistory {
 			t.ring = append(t.ring, tag)
 		} else {
-			delete(t.temp, t.ring[t.next])
+			t.forget(t.ring[t.next])
 			t.ring[t.next] = tag
 			t.next = (t.next + 1) % trripHistory
+			i, _ = t.slot(tag) // the deletion may have shifted tag's slot
+		}
+		t.keys[i] = tag + 1
+	}
+	t.temps[i] = temp
+}
+
+// slot returns the index of tag's slot and true, or the index of the
+// empty slot where it would go and false.
+func (t *trrip) slot(tag uint64) (uint64, bool) {
+	k := tag + 1
+	for i := tagHome(tag, trripMask); ; i = (i + 1) & trripMask {
+		switch t.keys[i] {
+		case k:
+			return i, true
+		case 0:
+			return i, false
 		}
 	}
-	t.temp[tag] = temp
+}
+
+// forget deletes a remembered tag, shifting each later entry of its
+// probe run back into the hole when the hole lies between that entry's
+// home slot and its current slot.
+func (t *trrip) forget(tag uint64) {
+	hole, _ := t.slot(tag)
+	for j := (hole + 1) & trripMask; t.keys[j] != 0; j = (j + 1) & trripMask {
+		home := tagHome(t.keys[j]-1, trripMask)
+		if (j-hole)&trripMask <= (j-home)&trripMask {
+			t.keys[hole], t.temps[hole] = t.keys[j], t.temps[j]
+			hole = j
+		}
+	}
+	t.keys[hole], t.temps[hole] = 0, 0
 }

@@ -194,32 +194,52 @@ func mkPolCache(size, line, assoc int, policy string) *Cache {
 
 // TestPolicyCacheMatchesReference is the policy differential battery:
 // for each non-LRU policy, 8 seeded random traces of Access / Contains /
-// Invalidate / Flush in two geometries, replayed through Cache and the
-// naive reference with every per-operation result compared. The miss
+// Invalidate / Flush in each of three rows, replayed through Cache and
+// the naive reference with every per-operation result compared. The miss
 // taxonomy is enabled on the Cache side throughout — it must be
 // observation-only, so its presence cannot perturb any outcome — and its
 // four classes must sum exactly to the misses on every trace.
+//
+// The first two rows draw from a small address pool, so promotion
+// (Touch), aging and TRRIP's temperature history all engage. The third
+// draws from more than four times TRRIP's 1024-tag history in distinct
+// lines through a cache small enough that nearly every miss evicts, even
+// between flushes, so the history fills and forgets its oldest tags over
+// and over, while half its draws come from a warm subset whose refills
+// consult the history before it forgets them.
 func TestPolicyCacheMatchesReference(t *testing.T) {
-	geoms := []CacheConfig{
-		{SizeBytes: 1024, LineBytes: 32, Assoc: 2},
-		{SizeBytes: 4096, LineBytes: 64, Assoc: 4},
+	rows := []struct {
+		geom  CacheConfig
+		lines int // distinct lines in the address pool (0: 64 random addresses)
+	}{
+		{CacheConfig{SizeBytes: 1024, LineBytes: 32, Assoc: 2}, 0},
+		{CacheConfig{SizeBytes: 4096, LineBytes: 64, Assoc: 4}, 0},
+		{CacheConfig{SizeBytes: 512, LineBytes: 64, Assoc: 2}, 5000},
 	}
 	for _, policy := range nonLRUPolicies {
 		t.Run(policy, func(t *testing.T) {
-			for gi, geom := range geoms {
+			for gi, row := range rows {
 				for seed := int64(0); seed < 8; seed++ {
-					cfg := geom
+					cfg := row.geom
 					cfg.Policy = policy
 					rng := rand.New(rand.NewSource(7000 + 100*int64(gi) + seed))
 					c := MustCache(cfg)
 					c.EnableTaxonomy()
 					ref := newRefPolicyCache(cfg)
-					// Small address pool => frequent re-reference, so
-					// promotion (Touch), aging and TRRIP's temperature
-					// history all engage.
-					pool := make([]uint64, 64)
-					for i := range pool {
-						pool[i] = uint64(rng.Intn(8 * cfg.SizeBytes))
+					var pool []uint64
+					if row.lines == 0 {
+						pool = make([]uint64, 64)
+						for i := range pool {
+							pool[i] = uint64(rng.Intn(8 * cfg.SizeBytes))
+						}
+					} else {
+						// Distinct lines (the low 13 bits of the line
+						// number are i) with random high bits, so their
+						// hashes collide as arbitrary tags' do.
+						pool = make([]uint64, row.lines)
+						for i := range pool {
+							pool[i] = (uint64(rng.Int63n(1<<30))<<13 | uint64(i)) * uint64(cfg.LineBytes)
+						}
 					}
 					var last uint64
 					for op := 0; op < 12000; op++ {
@@ -228,7 +248,11 @@ func TestPolicyCacheMatchesReference(t *testing.T) {
 						case 0:
 							addr = last // memo pressure
 						default:
-							addr = pool[rng.Intn(len(pool))]
+							i := rng.Intn(len(pool))
+							if row.lines > 0 && rng.Intn(2) == 0 {
+								i %= 256 // warm lines, refilled while TRRIP still remembers them
+							}
+							addr = pool[i]
 						}
 						last = addr
 						switch k := rng.Intn(100); {

@@ -9,11 +9,11 @@ import "informing/internal/stats"
 //
 // Two side models drive the classification:
 //
-//   - an infinite-tag filter (seen): every line tag the cache has ever
-//     referenced. A miss on a never-seen tag is compulsory. The filter
-//     also carries the coherence mark: a tag whose resident line was
-//     removed by InvalidateCoherence classifies its next miss as a
-//     coherence miss.
+//   - an infinite seen filter: every line tag the cache has ever missed
+//     on. A miss on a never-seen tag is compulsory. The filter also
+//     carries the coherence mark: a tag whose resident line was removed
+//     by InvalidateCoherence classifies its next miss as a coherence
+//     miss.
 //   - a fully-associative shadow of the same capacity (line count) as the
 //     cache, with true-LRU replacement. A non-compulsory, non-coherence
 //     miss that hits in the shadow would have hit in a fully-associative
@@ -31,57 +31,61 @@ import "informing/internal/stats"
 // the cache's architectural behaviour bit-identical.
 //
 // It is also on the simulator's hottest path (the hierarchy enables it
-// on both data levels of every run), so it avoids Go maps entirely:
-// both side models are open-addressed tables keyed by tag+1 (0 = empty
-// slot), and the dominant operation — refreshing shadow recency on a
-// cache hit — usually skips even those via wayRef, a per-cache-way memo
-// of the shadow node last associated with that way. A wayRef entry is
-// validated against the node's current tag before use, so recycling a
-// shadow node merely makes the memo miss, never lie. The shadow's node
-// pool is preallocated at Enable time; the tables grow by amortized
-// doubling (seen) or periodic compaction (the shadow index, whose dead
-// slots — left behind when their node is recycled to a new tag — are
-// swept out by rehashing the live LRU list), keeping the steady-state
-// hot path allocation-free within the allocation gate's budget.
+// on both data levels of every run), so both side models live in one
+// open-addressed tag table: each entry holds a tag's seen bit, its
+// coherence mark and its shadow node, so a miss classifies and finds its
+// shadow node with one probe. Entries are never deleted; the table
+// doubles at 3/4 load. The shadow's node pool grows on demand up to the
+// line count and then recycles its LRU node; an entry whose node has
+// been recycled to another tag (or dropped by a flush) reads as absent
+// from the shadow, so no entry ever needs updating when its node moves
+// on. The dominant operation — refreshing shadow recency on a cache hit
+// — usually skips the table via wayRef, a per-cache-way memo of the
+// shadow node last associated with that way, validated against the
+// node's tag before use. Both structures grow by amortized doubling, so
+// the steady-state hot path is allocation-free and a short replay pays
+// only for the lines it touches.
 type Taxonomy struct {
 	Classes stats.MissClasses
 
-	// Infinite-tag filter: open-addressed, linear probing, keys are
-	// tag+1 (0 = empty), values carry cohMark. Entries are never
-	// deleted; the table doubles at 3/4 load.
-	seenKeys []uint64
-	seenVals []uint8
-	seenLive int
+	// Tag table: open-addressed, linear probing, keyed by tag+1 (0 =
+	// empty slot).
+	tab  []tagEntry
+	live int
 
-	// Shadow index: tag -> node, open-addressed, keys are tag+1. A slot
-	// whose node no longer holds its key's tag is dead (the node was
-	// recycled); dead slots are skipped on lookup, reused by a same-tag
-	// reinsert, and swept out by a compacting rehash of the live LRU
-	// list once claimed slots reach 3/4 of the table.
-	idxKeys  []uint64
-	idxNodes []int32
-	idxUsed  int
-
-	// Fully-associative shadow: intrusive LRU list over a preallocated
-	// node pool.
+	// Fully-associative shadow: an intrusive LRU list over nodes, which
+	// grows to lines entries and then recycles its tail.
 	nodes      []shadowNode
+	lines      int
 	head, tail int32 // MRU, LRU (-1 when empty)
-	free       int32 // free-list head (-1 when exhausted)
 	mru        uint64
 	mruOK      bool
 
-	// wayRef[g] is the shadow node last associated with global cache
-	// way g; nodes[wayRef[g]].tag is checked before use, so stale refs
-	// are safe. Reset to -1 by flush (free-list nodes keep old tags).
+	// wayRef[g] is node+1 for the shadow node last associated with
+	// global cache way g (0 = none); the node's tag is checked before
+	// use, so stale refs are safe.
 	wayRef []int32
 }
 
-const cohMark = 1 << 0 // seen-filter bit: evicted by a coherence invalidation
+type tagEntry struct {
+	key   uint64 // tag+1; 0 = empty
+	node  int32  // shadow node+1; 0 = none
+	flags uint32
+}
+
+const (
+	seenBit = 1 << 0 // the tag has missed: its next miss is not compulsory
+	cohMark = 1 << 1 // evicted by a coherence invalidation
+)
 
 // tagHashC is the multiplicative-hash constant (2^64 / golden ratio);
 // tables index with the product's high bits, so power-of-two table sizes
 // stay well mixed.
 const tagHashC = 0x9E3779B97F4A7C15
+
+// tagHome is tag's first probe slot in a power-of-two table of mask+1
+// slots.
+func tagHome(tag, mask uint64) uint64 { return (tag * tagHashC) >> 33 & mask }
 
 type shadowNode struct {
 	tag        uint64
@@ -92,30 +96,13 @@ type shadowNode struct {
 // (the attached cache's capacity in lines) for a cache of ways total
 // ways (sets × associativity).
 func newTaxonomy(lines, ways int) *Taxonomy {
-	idxCap := 2
-	for idxCap < 2*lines {
-		idxCap <<= 1
+	return &Taxonomy{
+		tab:    make([]tagEntry, 1<<10),
+		lines:  lines,
+		head:   -1,
+		tail:   -1,
+		wayRef: make([]int32, ways),
 	}
-	t := &Taxonomy{
-		seenKeys: make([]uint64, 1<<13),
-		seenVals: make([]uint8, 1<<13),
-		idxKeys:  make([]uint64, idxCap),
-		idxNodes: make([]int32, idxCap),
-		nodes:    make([]shadowNode, lines),
-		head:     -1,
-		tail:     -1,
-		wayRef:   make([]int32, ways),
-	}
-	// Thread the free list through the pool.
-	for i := range t.nodes {
-		t.nodes[i].next = int32(i) + 1
-	}
-	t.nodes[lines-1].next = -1
-	t.free = 0
-	for i := range t.wayRef {
-		t.wayRef[i] = -1
-	}
-	return t
 }
 
 // hit records a cache hit on global way g: the shadow's recency is
@@ -126,15 +113,14 @@ func (t *Taxonomy) hit(tag uint64, g int) {
 	if t.mruOK && t.mru == tag {
 		return
 	}
-	if r := t.wayRef[g]; r >= 0 && t.nodes[r].tag == tag {
+	if r := t.wayRef[g] - 1; r >= 0 && t.nodes[r].tag == tag {
 		t.mru, t.mruOK = tag, true
 		if t.head != r {
 			t.moveToHead(r)
 		}
 		return
 	}
-	n, inShadow := t.idxGet(tag)
-	t.touch(tag, n, inShadow, g)
+	t.touch(t.entry(tag), tag, g)
 }
 
 // miss classifies and records a cache miss on tag filling global way g,
@@ -142,141 +128,101 @@ func (t *Taxonomy) hit(tag uint64, g int) {
 // compulsory (never seen) > coherence (marked by InvalidateCoherence) >
 // conflict (shadow holds the line) > capacity.
 func (t *Taxonomy) miss(tag uint64, g int) {
-	n, inShadow := t.idxGet(tag)
-	if 4*(t.seenLive+1) > 3*len(t.seenKeys) {
-		t.growSeen()
-	}
-	i := t.seenSlot(tag)
+	e := t.entry(tag)
 	switch {
-	case t.seenKeys[i] == 0:
+	case e.flags&seenBit == 0:
 		t.Classes.Compulsory++
-		t.seenKeys[i] = tag + 1
-		t.seenVals[i] = 0
-		t.seenLive++
-	case t.seenVals[i]&cohMark != 0:
+		e.flags = seenBit
+	case e.flags&cohMark != 0:
 		t.Classes.Coherence++
-		t.seenVals[i] = 0
-	case inShadow:
+		e.flags = seenBit
+	case t.inShadow(e, tag):
 		t.Classes.Conflict++
 	default:
 		t.Classes.Capacity++
 	}
-	t.touch(tag, n, inShadow, g)
+	t.touch(e, tag, g)
 }
 
 // markCoherence flags tag so its next miss classifies as a coherence
 // miss. Called only for tags whose line a coherence action just removed.
 func (t *Taxonomy) markCoherence(tag uint64) {
-	if 4*(t.seenLive+1) > 3*len(t.seenKeys) {
-		t.growSeen()
-	}
-	i := t.seenSlot(tag)
-	if t.seenKeys[i] == 0 {
-		t.seenKeys[i] = tag + 1
-		t.seenVals[i] = cohMark
-		t.seenLive++
-		return
-	}
-	t.seenVals[i] |= cohMark
+	t.entry(tag).flags = seenBit | cohMark
 }
 
-// seenSlot probes the seen filter for tag, returning the index of its
-// slot (occupied by tag) or of the empty slot where it would go.
-func (t *Taxonomy) seenSlot(tag uint64) int {
-	mask := uint64(len(t.seenKeys) - 1)
+// entry returns tag's table entry, inserting an empty one (not seen, no
+// node) when the tag has none. The pointer is valid until the next
+// insertion.
+func (t *Taxonomy) entry(tag uint64) *tagEntry {
+	if 4*(t.live+1) > 3*len(t.tab) {
+		t.grow()
+	}
+	mask := uint64(len(t.tab) - 1)
 	k := tag + 1
-	for i := (tag * tagHashC) >> 33 & mask; ; i = (i + 1) & mask {
-		if sk := t.seenKeys[i]; sk == k || sk == 0 {
-			return int(i)
+	for i := tagHome(tag, mask); ; i = (i + 1) & mask {
+		e := &t.tab[i]
+		if e.key == k {
+			return e
+		}
+		if e.key == 0 {
+			e.key = k
+			t.live++
+			return e
 		}
 	}
 }
 
-func (t *Taxonomy) growSeen() {
-	oldK, oldV := t.seenKeys, t.seenVals
-	t.seenKeys = make([]uint64, 2*len(oldK))
-	t.seenVals = make([]uint8, 2*len(oldV))
-	for i, k := range oldK {
-		if k != 0 {
-			j := t.seenSlot(k - 1)
-			t.seenKeys[j] = k
-			t.seenVals[j] = oldV[i]
+func (t *Taxonomy) grow() {
+	old := t.tab
+	t.tab = make([]tagEntry, 2*len(old))
+	mask := uint64(len(t.tab) - 1)
+	for _, e := range old {
+		if e.key == 0 {
+			continue
 		}
+		i := tagHome(e.key-1, mask)
+		for t.tab[i].key != 0 {
+			i = (i + 1) & mask
+		}
+		t.tab[i] = e
 	}
 }
 
-// idxGet looks tag up in the shadow index; a dead slot (node recycled to
-// another tag since the slot was written) reads as absent.
-func (t *Taxonomy) idxGet(tag uint64) (int32, bool) {
-	mask := uint64(len(t.idxKeys) - 1)
-	k := tag + 1
-	for i := (tag * tagHashC) >> 33 & mask; ; i = (i + 1) & mask {
-		switch sk := t.idxKeys[i]; sk {
-		case k:
-			if n := t.idxNodes[i]; t.nodes[n].tag == tag {
-				return n, true
-			}
-			return -1, false
-		case 0:
-			return -1, false
-		}
-	}
+// inShadow reports whether e's node still holds tag: a node recycled to
+// another tag, or dropped by a flush, reads as absent.
+func (t *Taxonomy) inShadow(e *tagEntry, tag uint64) bool {
+	n := int(e.node) - 1
+	return n >= 0 && n < len(t.nodes) && t.nodes[n].tag == tag
 }
 
-// idxSet points tag's index slot at node n, reusing tag's dead slot if
-// one exists, and compacts the table when claimed slots reach 3/4.
-func (t *Taxonomy) idxSet(tag uint64, n int32) {
-	if 4*(t.idxUsed+1) > 3*len(t.idxKeys) {
-		// Sweep dead slots: rehash the live LRU list. Live entries are
-		// bounded by the pool (≤ cap/2), so the sweep always reclaims
-		// at least a quarter of the table — amortized O(1) per claim.
-		clear(t.idxKeys)
-		t.idxUsed = 0
-		for m := t.head; m >= 0; m = t.nodes[m].next {
-			t.idxSet(t.nodes[m].tag, m)
-		}
-	}
-	mask := uint64(len(t.idxKeys) - 1)
-	k := tag + 1
-	for i := (tag * tagHashC) >> 33 & mask; ; i = (i + 1) & mask {
-		switch sk := t.idxKeys[i]; sk {
-		case k:
-			t.idxNodes[i] = n
-			return
-		case 0:
-			t.idxKeys[i] = k
-			t.idxNodes[i] = n
-			t.idxUsed++
-			return
-		}
-	}
-}
-
-// touch moves tag to the shadow's MRU position, inserting it (recycling
-// the shadow's LRU node if the pool is exhausted) when absent, and
-// re-aims way g's memo. n/inShadow carry a prior idxGet's answer.
-func (t *Taxonomy) touch(tag uint64, n int32, inShadow bool, g int) {
+// touch moves tag (whose entry is e) to the shadow's MRU position,
+// inserting it when absent — into a new node while the pool is below the
+// line count, else into the recycled LRU node — and re-aims way g's
+// memo.
+func (t *Taxonomy) touch(e *tagEntry, tag uint64, g int) {
 	t.mru, t.mruOK = tag, true
-	if inShadow {
+	if t.inShadow(e, tag) {
+		n := e.node - 1
 		if t.head != n {
 			t.moveToHead(n)
 		}
-		t.wayRef[g] = n
+		t.wayRef[g] = e.node
 		return
 	}
-	n = t.free
-	if n < 0 {
-		// Shadow full: recycle the LRU node. Its index slot dies in
-		// place (idxGet's tag check) — no deletion needed.
+	var n int32
+	if len(t.nodes) < t.lines {
+		n = int32(len(t.nodes))
+		t.nodes = append(t.nodes, shadowNode{tag: tag})
+	} else {
+		// Shadow full: recycle the LRU node. The evicted tag's entry
+		// still names it, and reads as absent by the tag check.
 		n = t.tail
 		t.unlink(n)
-	} else {
-		t.free = t.nodes[n].next
+		t.nodes[n].tag = tag
 	}
-	t.nodes[n].tag = tag
-	t.idxSet(tag, n)
 	t.pushHead(n)
-	t.wayRef[g] = n
+	e.node = n + 1
+	t.wayRef[g] = n + 1
 }
 
 // moveToHead splices an in-list, non-head node to the MRU position —
@@ -323,21 +269,13 @@ func (t *Taxonomy) pushHead(n int32) {
 
 // flush empties the shadow (mirroring a cache Flush); the seen filter —
 // deliberately infinite — survives, so post-flush misses are capacity,
-// never compulsory. wayRef must reset too: free-list nodes keep their
-// old tags, which would otherwise re-validate a dead memo.
+// never compulsory. Truncating the pool makes every entry's node read as
+// absent. wayRef needs no reset: the flush empties every cache way, and
+// the miss that refills a way re-aims its memo before a hit can read it.
 func (t *Taxonomy) flush() {
 	t.mruOK = false
 	t.head, t.tail = -1, -1
-	clear(t.idxKeys)
-	t.idxUsed = 0
-	for i := range t.nodes {
-		t.nodes[i].next = int32(i) + 1
-	}
-	t.nodes[len(t.nodes)-1].next = -1
-	t.free = 0
-	for i := range t.wayRef {
-		t.wayRef[i] = -1
-	}
+	t.nodes = t.nodes[:0]
 }
 
 // EnableTaxonomy attaches a fresh miss classifier to the cache (idempotent

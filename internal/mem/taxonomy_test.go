@@ -171,39 +171,73 @@ func TestTaxonomyConservationRandom(t *testing.T) {
 	}
 }
 
+// TestTaxonomyHitDoesNotMarkSeen: only misses (and coherence marks)
+// enter the seen filter. A classifier attached to a warm cache has seen
+// no miss on its resident line, so hitting that line leaves it unseen,
+// and its refetch after an invalidation is compulsory.
+func TestTaxonomyHitDoesNotMarkSeen(t *testing.T) {
+	c := mkCache(1024, 32, 2)
+	const addr = 0x40
+	c.Access(addr, false)
+	c.EnableTaxonomy()
+	c.Access(addr, false)   // memoized hit
+	c.Access(0x1000, false) // compulsory, moves the memo
+	c.Access(addr, false)   // scanned hit
+	c.Invalidate(addr)
+	c.Access(addr, false)
+	wantClasses(t, c, stats.MissClasses{Compulsory: 2})
+}
+
 // TestTaxonomyObservationOnly: enabling the classifier must not change a
 // single architectural outcome. Identical traces through a bare cache
-// and a classified one must agree on every result and counter.
+// and a classified one must agree on every result and counter, for LRU
+// and every policy, with a quarter of the references repeating the
+// previous address so the way memo and the classifier's memos meet. The
+// classified side takes its invalidations through InvalidateCoherence
+// half the time, so the coherence marks are in play too.
 func TestTaxonomyObservationOnly(t *testing.T) {
-	bare := mkCache(1024, 32, 2)
-	taxed := mkTaxCache(1024, 32, 2, "")
-	rng := rand.New(rand.NewSource(31))
-	for op := 0; op < 10000; op++ {
-		addr := uint64(rng.Intn(256)) * 32
-		switch k := rng.Intn(100); {
-		case k < 80:
-			write := rng.Intn(3) == 0
-			gh, gwb, gok := taxed.Access(addr, write)
-			wh, wwb, wok := bare.Access(addr, write)
-			if gh != wh || gwb != wwb || gok != wok {
-				t.Fatalf("op %d: Access(%#x,%v) diverged with taxonomy: (%v,%#x,%v) vs (%v,%#x,%v)",
-					op, addr, write, gh, gwb, gok, wh, wwb, wok)
+	for _, policy := range PolicyNames() {
+		t.Run(policy, func(t *testing.T) {
+			bare := mkPolCache(1024, 32, 2, policy)
+			taxed := mkTaxCache(1024, 32, 2, policy)
+			rng := rand.New(rand.NewSource(31))
+			var last uint64
+			for op := 0; op < 10000; op++ {
+				addr := uint64(rng.Intn(256)) * 32
+				if rng.Intn(4) == 0 {
+					addr = last
+				}
+				last = addr
+				switch k := rng.Intn(100); {
+				case k < 80:
+					write := rng.Intn(3) == 0
+					gh, gwb, gok := taxed.Access(addr, write)
+					wh, wwb, wok := bare.Access(addr, write)
+					if gh != wh || gwb != wwb || gok != wok {
+						t.Fatalf("op %d: Access(%#x,%v) diverged with taxonomy: (%v,%#x,%v) vs (%v,%#x,%v)",
+							op, addr, write, gh, gwb, gok, wh, wwb, wok)
+					}
+				case k < 90:
+					if g, w := taxed.Contains(addr), bare.Contains(addr); g != w {
+						t.Fatalf("op %d: Contains(%#x) diverged with taxonomy", op, addr)
+					}
+				case k < 94:
+					if g, w := taxed.Invalidate(addr), bare.Invalidate(addr); g != w {
+						t.Fatalf("op %d: Invalidate(%#x) diverged with taxonomy", op, addr)
+					}
+				case k < 98:
+					if g, w := taxed.InvalidateCoherence(addr), bare.Invalidate(addr); g != w {
+						t.Fatalf("op %d: InvalidateCoherence(%#x) diverged with taxonomy", op, addr)
+					}
+				default:
+					taxed.Flush()
+					bare.Flush()
+				}
 			}
-		case k < 90:
-			if g, w := taxed.Contains(addr), bare.Contains(addr); g != w {
-				t.Fatalf("op %d: Contains(%#x) diverged with taxonomy", op, addr)
+			if taxed.Accesses != bare.Accesses || taxed.Misses != bare.Misses {
+				t.Fatalf("counters diverged: taxed (%d,%d), bare (%d,%d)",
+					taxed.Accesses, taxed.Misses, bare.Accesses, bare.Misses)
 			}
-		case k < 98:
-			if g, w := taxed.Invalidate(addr), bare.Invalidate(addr); g != w {
-				t.Fatalf("op %d: Invalidate(%#x) diverged with taxonomy", op, addr)
-			}
-		default:
-			taxed.Flush()
-			bare.Flush()
-		}
-	}
-	if taxed.Accesses != bare.Accesses || taxed.Misses != bare.Misses {
-		t.Fatalf("counters diverged: taxed (%d,%d), bare (%d,%d)",
-			taxed.Accesses, taxed.Misses, bare.Accesses, bare.Misses)
+		})
 	}
 }
