@@ -20,7 +20,7 @@ race:
 	$(GO) test -race ./...
 
 # race-serve shakes the serving layer's concurrency machinery
-# (single-flight, bounded queue, dispatcher batching, LRU), the cluster
+# (single-flight, bounded queue, worker pool, LRU), the cluster
 # transport under it, the pool and metrics, and the block-parallel trace
 # reader every trace upload goes through, with the race detector.
 race-serve:
@@ -157,11 +157,12 @@ policy-smoke:
 	$(GO) test -run 'TestPolicyGolden|TestPolicyArchitecturalNeutrality' ./internal/core/
 	$(GO) test -run 'TestExplain' ./internal/serve/
 
-# verify is the full CI gate: build, vet, race-enabled tests, fuzz seeds.
-# The one-iteration passes over the trace parser's and the replay sweep's
-# benchmarks keep the benchmarks behind EXPERIMENTS.md "Ingest speed" and
-# "Replay sweep speed" running.
+# verify is the full CI gate: build, gofmt, vet, race-enabled tests, fuzz
+# seeds. The one-iteration passes over the trace parser's and the replay
+# sweep's benchmarks keep the benchmarks behind EXPERIMENTS.md "Ingest
+# speed" and "Replay sweep speed" running.
 verify: build
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench 'ParseLine|Load' -benchtime 1x ./internal/trace

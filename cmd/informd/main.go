@@ -1,5 +1,5 @@
 // Command informd serves the paper's simulations over HTTP: a
-// long-running daemon that validates, batches and caches simulation
+// long-running daemon that validates, queues and caches simulation
 // requests (see internal/serve and EXPERIMENTS.md "Simulation as a
 // service").
 //
@@ -20,7 +20,7 @@
 //	                      tables
 //	GET  /metrics         serve_* and sim_* metrics (internal/obs registry)
 //	GET  /healthz         liveness, code version, cache/store state
-//	GET  /readyz          readiness (store recovered, dispatcher running)
+//	GET  /readyz          readiness (store recovered, workers running)
 //
 // Identical requests are served from a fingerprint-keyed LRU cache, backed
 // by an optional durable on-disk store (-store-dir) so a restarted daemon
@@ -65,7 +65,6 @@ func main() {
 		listen       = flag.String("listen", "127.0.0.1:8372", "listen address (\":0\" picks an ephemeral port)")
 		jobs         = flag.Int("j", runtime.GOMAXPROCS(0), "simulation worker count")
 		queueSize    = flag.Int("queue", 0, "bounded queue size; overflow returns 429 (0 = default 256)")
-		maxBatch     = flag.Int("max-batch", 0, "max cells per dispatcher batch (0 = default 32)")
 		cacheSize    = flag.Int("cache", 0, "result cache entries (0 = default 4096)")
 		maxCells     = flag.Int("max-cells", 0, "max cells per /v1/simulate request (0 = default 64)")
 		maxExpCells  = flag.Int("max-exp-cells", 0, "max grid cells per /v1/experiment request (0 = default 1024)")
@@ -136,7 +135,6 @@ func main() {
 	srv := serve.New(serve.Config{
 		Workers:            *jobs,
 		QueueSize:          *queueSize,
-		MaxBatch:           *maxBatch,
 		CacheEntries:       *cacheSize,
 		MaxCellsPerRequest: *maxCells,
 		MaxExperimentCells: *maxExpCells,

@@ -78,13 +78,13 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func TestNewValidates(t *testing.T) {
 	cases := []Config{
-		{Version: "v", Self: "http://a:1", Peers: nil},                                                  // no peers
-		{Version: "v", Self: "http://a:1", Peers: []string{"http://b:1"}},                               // self missing
-		{Version: "v", Self: "http://a:1", Peers: []string{"http://a:1", "http://a:1"}, Secret: "s"},    // duplicate
-		{Version: "v", Self: "http://a:1", Peers: []string{"http://a:1", "ftp://b:1"}, Secret: "s"},     // bad scheme
-		{Version: "", Self: "http://a:1", Peers: []string{"http://a:1"}},                                // no version
-		{Version: "v", Self: "http://a:1/", Peers: []string{"http://a:1", "http://a:1/"}, Secret: "s"},  // dup after trim
-		{Version: "v", Self: "http://a:1", Peers: []string{"http://a:1", "http://b:1"}},                 // multi-peer without secret
+		{Version: "v", Self: "http://a:1", Peers: nil},                                                 // no peers
+		{Version: "v", Self: "http://a:1", Peers: []string{"http://b:1"}},                              // self missing
+		{Version: "v", Self: "http://a:1", Peers: []string{"http://a:1", "http://a:1"}, Secret: "s"},   // duplicate
+		{Version: "v", Self: "http://a:1", Peers: []string{"http://a:1", "ftp://b:1"}, Secret: "s"},    // bad scheme
+		{Version: "", Self: "http://a:1", Peers: []string{"http://a:1"}},                               // no version
+		{Version: "v", Self: "http://a:1/", Peers: []string{"http://a:1", "http://a:1/"}, Secret: "s"}, // dup after trim
+		{Version: "v", Self: "http://a:1", Peers: []string{"http://a:1", "http://b:1"}},                // multi-peer without secret
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -230,7 +230,7 @@ func TestForwardHandshakeNonBlocking(t *testing.T) {
 		_, _, err := c.Forward(context.Background(), ts.URL, "/v1/simulate", nil, nil)
 		errc <- err
 	}()
-	<-started // the probe is now blocked inside the peer
+	<-started   // the probe is now blocked inside the peer
 	go func() { // a concurrent forward shares the probe, it does not start a second one
 		_, _, err := c.Forward(context.Background(), ts.URL, "/v1/simulate", nil, nil)
 		errc <- err

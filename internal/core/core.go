@@ -136,8 +136,6 @@ func (c Config) WithMaxInsts(n uint64) Config {
 	return c
 }
 
-// WithTrace attaches a per-instruction pipeline trace callback (invoked in
-// graduation order) to whichever machine runs.
 // WithBlockKernel enables or disables the block-compiled execution
 // kernel (DESIGN.md §14) on both timing cores. The kernel is on by
 // default; disabling it forces the historical per-instruction front end,
@@ -148,6 +146,8 @@ func (c Config) WithBlockKernel(enabled bool) Config {
 	return c
 }
 
+// WithTrace attaches a per-instruction pipeline trace callback (invoked in
+// graduation order) to whichever machine runs.
 func (c Config) WithTrace(fn func(stats.TraceEvent)) Config {
 	c.OOO.Trace = fn
 	c.IO.Trace = fn

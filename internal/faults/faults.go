@@ -127,7 +127,7 @@ type Stats struct {
 	ForcedMisses    uint64
 	ForcedHits      uint64
 	Jittered        uint64
-	DelayCycles     int64 // total extra cycles injected by Jitter rules
+	DelayCycles     int64  // total extra cycles injected by Jitter rules
 	PoisonInjected  uint64 // lines newly poisoned by Poison rules
 	PoisonFaults    uint64 // references forced to memory by poisoned lines
 	ReentrantMisses uint64

@@ -408,7 +408,7 @@ func TestTenantAuth(t *testing.T) {
 }
 
 // TestWeightedFairDequeue: with three of alice's cells queued ahead of
-// bob's one, the weighted-fair dispatcher starts bob's within two pops —
+// bob's one, the weighted-fair queue starts bob's within two pops —
 // a plain FIFO would start it last.
 func TestWeightedFairDequeue(t *testing.T) {
 	tenants := testTenants(t, TenantsFile{Tenants: []TenantSpec{
@@ -418,7 +418,7 @@ func TestWeightedFairDequeue(t *testing.T) {
 	runner := newFakeRunner(true)
 	s, ts := newTestServer(t, Config{
 		runCell: runner.run, Tenants: tenants,
-		MaxBatch: 1, Workers: 1, QueueSize: 16,
+		Workers: 1, QueueSize: 16,
 	})
 
 	post := func(key string, c Request) {
@@ -428,7 +428,7 @@ func TestWeightedFairDequeue(t *testing.T) {
 		go http.DefaultClient.Do(hr) //nolint:errcheck // resolved via runner.started
 	}
 
-	// Occupy the dispatcher so everything after queues up.
+	// Occupy the single worker so everything after queues up.
 	post("k-alice", cellReq("tomcatv", "N", MachineOOO))
 	<-runner.started
 
@@ -463,18 +463,18 @@ func TestWeightedFairDequeue(t *testing.T) {
 	t.Fatal("bob's cell never started")
 }
 
-// TestOverloadRetryAfterComputed pins the satellite fix: a queue-overflow
-// 429 carries a Retry-After computed from queue depth and batch latency
-// (here: 1 queued / MaxBatch 1 + 1 = 2 rounds at the 1s prior = "2"),
-// not the old hardcoded "1".
+// TestOverloadRetryAfterComputed: a queue-overflow 429 carries a
+// Retry-After computed from queue depth and per-flight service time (here:
+// ⌈(1 queued + 1) / 1 worker⌉ = 2 flights at the 1s prior = "2"), not a
+// hardcoded "1".
 func TestOverloadRetryAfterComputed(t *testing.T) {
 	runner := newFakeRunner(true)
-	s, ts := newTestServer(t, Config{runCell: runner.run, QueueSize: 1, MaxBatch: 1, Workers: 1})
+	s, ts := newTestServer(t, Config{runCell: runner.run, QueueSize: 1, Workers: 1})
 	defer close(runner.release)
 
-	// One cell occupies the single-worker dispatcher, a second fills the
+	// One cell occupies the single worker, a second fills the
 	// one-slot queue; the third overflows.
-	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "N", MachineOOO)}})  //nolint:errcheck
+	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "N", MachineOOO)}}) //nolint:errcheck
 	<-runner.started
 	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "S1", MachineOOO)}}) //nolint:errcheck
 	waitForQueued(t, s, 1)
@@ -496,11 +496,11 @@ func TestOverloadRetryAfterComputed(t *testing.T) {
 		t.Fatalf("Retry-After %q outside [1,30]", over.Header.Get("Retry-After"))
 	}
 	if ra != 2 {
-		t.Errorf("Retry-After = %d, want 2 (2 dispatcher rounds at the 1s prior)", ra)
+		t.Errorf("Retry-After = %d, want 2 (2 flights at the 1s prior)", ra)
 	}
 }
 
-// TestReadyz: /readyz turns ready once the dispatcher runs, and turns
+// TestReadyz: /readyz turns ready once the workers run, and turns
 // not-ready again on drain while /healthz stays 200 (liveness).
 func TestReadyz(t *testing.T) {
 	runner := newFakeRunner(false)

@@ -107,7 +107,7 @@ func explainResult(cr CellResult, policy string) ExplainResult {
 }
 
 // handleExplain is handleSimulate with a taxonomy-shaped response: same
-// validation, same admission, same submit-all-then-await-all batching.
+// validation, same admission, same submit-all-then-await-all.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.observeLatency(start)

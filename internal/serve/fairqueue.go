@@ -2,7 +2,7 @@ package serve
 
 // fairQueue replaces the serving layer's plain bounded channel with a
 // weighted-fair queue: flights are held in per-tenant FIFOs and the
-// dispatcher drains them weighted-round-robin, so a tenant that floods
+// workers drain them weighted-round-robin, so a tenant that floods
 // the queue with a large experiment only delays its own cells — another
 // tenant's interactive request entering behind the flood is dequeued
 // after at most (sum of active weights) pops, not after the whole flood.
@@ -10,12 +10,14 @@ package serve
 // Within a tenant, order stays strict FIFO (the deterministic-merge
 // contracts downstream rely on submission order per request, which the
 // handler preserves by awaiting tickets in order — the queue only decides
-// *when* a flight reaches the pool, never what it computes).
+// *when* a flight reaches a worker, never what it computes).
 //
 // Capacity is global (QueueSize): the queue overflowing is still the
 // server's backpressure signal. The ready/space channels carry
 // level-triggered wakeups (capacity 1, non-blocking sends): consumers
-// re-check state after every wakeup, so coalesced signals are safe.
+// re-check state after every wakeup, so coalesced signals are safe. A
+// burst of pushes coalesces into one ready signal, so pop re-arms it
+// while flights remain: each woken worker wakes the next.
 
 import (
 	"sync"
@@ -152,8 +154,12 @@ func (q *fairQueue) pop() *flight {
 		q.cursor++
 	}
 	q.depthGauge.Store(uint64(q.size))
+	more := q.size > 0
 	q.mu.Unlock()
 	signal(q.space)
+	if more {
+		signal(q.ready)
+	}
 	return f
 }
 

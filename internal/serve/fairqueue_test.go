@@ -2,6 +2,7 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"informing/internal/obs"
 )
@@ -103,5 +104,36 @@ func TestFairQueueOrderSurvivesCompaction(t *testing.T) {
 			t.Fatalf("iteration %d: popped key %q, want %q (FIFO order broken)", i, fl.key, want)
 		}
 		next++
+	}
+}
+
+// A burst of pushes with no worker parked coalesces into one ready
+// signal. Each consumer that takes it must re-arm it while flights
+// remain, or all but one of K parked workers sleep with work queued.
+func TestFairQueueBurstWakesEveryWaiter(t *testing.T) {
+	const k = 4
+	q := newFairQueue(16, &obs.Counter{})
+	tn := &tenant{name: "burst", weight: 1}
+	for i := 0; i < k; i++ {
+		if ok, _ := q.tryPush(&flight{tn: tn}); !ok {
+			t.Fatalf("push %d refused", i)
+		}
+	}
+	got := make(chan *flight, k)
+	for i := 0; i < k; i++ {
+		go func() {
+			<-q.ready
+			got <- q.pop()
+		}()
+	}
+	for i := 0; i < k; i++ {
+		select {
+		case f := <-got:
+			if f == nil {
+				t.Fatalf("waiter %d woke to an empty queue", i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d waiters woke for %d queued flights", i, k, k)
+		}
 	}
 }

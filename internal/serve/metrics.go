@@ -17,7 +17,6 @@ const (
 	MetricInflight   = "serve_inflight"    // gauge: flights not yet completed
 	MetricQueueDepth = "serve_queue_depth" // gauge: flights waiting for the pool
 	MetricLatencyMs  = "serve_request_latency_ms"
-	MetricBatchSize  = "serve_batch_size"
 
 	// Durable-store metrics (PR 6). serve_store_degraded counts
 	// degradation events: it moves 0 → 1 when a store I/O failure demotes
@@ -31,8 +30,8 @@ const (
 	// Admission-control metrics. Per-tenant variants of Requests, Cells,
 	// Hits and RateLimited are registered as name{tenant="..."} (see
 	// TenantMetricName).
-	MetricRateLimited    = "serve_rate_limited_total"
-	MetricBatchLatencyMs = "serve_batch_latency_ms" // one observation per dispatcher round
+	MetricRateLimited     = "serve_rate_limited_total"
+	MetricFlightLatencyMs = "serve_flight_latency_ms" // one observation per flight a worker runs
 
 	// Cluster-forwarding metrics (DESIGN.md §15). Transport-level peer
 	// counters (cluster_forwards_total, cluster_peer_up{peer=...}) live
@@ -47,10 +46,6 @@ const (
 // 100M-instruction cell (tens of seconds).
 var latencyMsBounds = []int64{1, 5, 10, 50, 100, 500, 1_000, 5_000, 10_000, 60_000}
 
-// batchBounds covers the dispatcher's batch sizes up to the default
-// MaxBatch and beyond.
-var batchBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // metrics bundles the pre-resolved serving-layer handles (the obs.Sim
 // pattern: the request path touches handles, never the registry).
 type metrics struct {
@@ -64,7 +59,6 @@ type metrics struct {
 	Inflight   *obs.Counter
 	QueueDepth *obs.Counter
 	LatencyMs  *obs.Histogram
-	BatchSize  *obs.Histogram
 
 	StoreHits     *obs.Counter
 	StoreMisses   *obs.Counter
@@ -72,8 +66,8 @@ type metrics struct {
 	StoreErrors   *obs.Counter
 	StoreDegraded *obs.Counter
 
-	RateLimited    *obs.Counter
-	BatchLatencyMs *obs.Histogram
+	RateLimited     *obs.Counter
+	FlightLatencyMs *obs.Histogram
 
 	Forwarded        *obs.Counter
 	ForwardCoalesced *obs.Counter
@@ -93,7 +87,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		Inflight:   reg.Counter(MetricInflight),
 		QueueDepth: reg.Counter(MetricQueueDepth),
 		LatencyMs:  reg.Histogram(MetricLatencyMs, latencyMsBounds),
-		BatchSize:  reg.Histogram(MetricBatchSize, batchBounds),
 
 		StoreHits:     reg.Counter(MetricStoreHits),
 		StoreMisses:   reg.Counter(MetricStoreMisses),
@@ -101,8 +94,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		StoreErrors:   reg.Counter(MetricStoreErrors),
 		StoreDegraded: reg.Counter(MetricStoreDegraded),
 
-		RateLimited:    reg.Counter(MetricRateLimited),
-		BatchLatencyMs: reg.Histogram(MetricBatchLatencyMs, latencyMsBounds),
+		RateLimited:     reg.Counter(MetricRateLimited),
+		FlightLatencyMs: reg.Histogram(MetricFlightLatencyMs, latencyMsBounds),
 
 		Forwarded:        reg.Counter(MetricForwarded),
 		ForwardCoalesced: reg.Counter(MetricForwardCoalesced),

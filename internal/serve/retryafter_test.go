@@ -82,22 +82,47 @@ func TestAdmitRetryAfterHonest(t *testing.T) {
 	}
 }
 
+// TestOverloadRetryAfterRoundsUp: a queue-overflow 429 asks the client to
+// wait ⌈(depth+1)/workers⌉ flights at the mean per-flight service time,
+// rounded up to whole seconds.
 func TestOverloadRetryAfterRoundsUp(t *testing.T) {
-	s := New(Config{MaxBatch: 4})
-	defer s.Close()
+	for _, tc := range []struct {
+		name           string
+		depth, workers int
+		meanMs         float64
+		want           int
+	}{
+		// No completed flight yet: one second per flight.
+		{"cold start", 0, 1, 0, 1},
+		{"cold start, one queued", 1, 1, 0, 2},
+		// 1.5 s mean, one flight deep: 1.5 -> 2. Truncation would answer 1.
+		{"fractional mean", 0, 1, 1500, 2},
+		// 3 queued + the retry spread over 4 workers: one flight each.
+		{"workers absorb the backlog", 3, 4, 1500, 2},
+		// 4 queued + the retry over 4 workers: two flights deep, 3.0 s.
+		{"one past the workers", 4, 4, 1500, 3},
+		// 5 queued + the retry over 2 workers: 3 flights at 0.7 s = 2.1 -> 3.
+		{"two workers", 5, 2, 700, 3},
+		// 100 flights deep at 1 s: clamped to the 30 s ceiling.
+		{"clamped ceiling", 99, 1, 1000, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := queueRetryAfter(tc.depth, tc.workers, tc.meanMs); got != tc.want {
+				t.Errorf("queueRetryAfter(%d, %d, %v) = %d, want %d", tc.depth, tc.workers, tc.meanMs, got, tc.want)
+			}
+		})
+	}
 
-	// No completed dispatcher round yet: the estimate assumes one second
-	// per round; empty queue = one round.
+	// The server reads the mean from its per-flight histogram.
+	s := New(Config{Workers: 2})
+	defer s.Close()
 	if got := s.overloadRetryAfter(); got != 1 {
 		t.Fatalf("cold-start Retry-After = %d, want 1", got)
 	}
-
-	// Mean round latency 1.5 s, empty queue (1 round): 1.5 -> 2.
-	// Truncation would answer 1.
-	s.met.BatchLatencyMs.Observe(1000)
-	s.met.BatchLatencyMs.Observe(2000)
+	s.met.FlightLatencyMs.Observe(1000)
+	s.met.FlightLatencyMs.Observe(2000)
 	if got := s.overloadRetryAfter(); got != 2 {
-		t.Fatalf("Retry-After = %d, want 2 (1.5 s mean round must round up)", got)
+		t.Fatalf("Retry-After = %d, want 2 (1.5 s mean flight must round up)", got)
 	}
 }
 

@@ -20,11 +20,11 @@
 //     per-tenant token-bucket admission, and distinct requests are queued
 //     (bounded — the queue overflowing is the server's backpressure
 //     signal, surfaced as HTTP 429 with an honest computed Retry-After)
-//     in per-tenant FIFOs drained weighted-fair by a dispatcher batching
-//     onto the shared internal/sched worker pool;
+//     in per-tenant FIFOs drained weighted-fair by a pool of workers,
+//     each of which starts the next queued flight as soon as it is free;
 //   - per-request budgets and cancellation ride the existing govern
 //     layer: a cell's MaxInsts becomes its governor budget and the flight
-//     context is threaded into the engines, so a cancelled batch aborts
+//     context is threaded into the engines, so a cancelled flight aborts
 //     at the next governor poll with a diagnostic snapshot.
 //
 // Observability reuses internal/obs: one registry holds the serving
@@ -73,18 +73,15 @@ const maxBodyBytes = 64 << 20
 // Config parameterises a Server. The zero value is valid: every field
 // falls back to the defaults documented on it.
 type Config struct {
-	// Workers bounds the simulation worker pool (internal/sched
-	// semantics: <= 0 selects GOMAXPROCS).
+	// Workers is the number of simulation workers, each running one
+	// queued flight at a time (internal/sched semantics: <= 0 selects
+	// GOMAXPROCS).
 	Workers int
 
 	// QueueSize bounds the number of flights waiting for the pool; an
 	// arriving cell that finds the queue full is rejected with HTTP 429
 	// (0 = 256).
 	QueueSize int
-
-	// MaxBatch bounds how many queued flights one dispatcher round hands
-	// to sched.Map (0 = 32).
-	MaxBatch int
 
 	// CacheEntries bounds the result LRU (0 = 4096).
 	CacheEntries int
@@ -136,11 +133,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	c.Workers = sched.Workers(c.Workers)
 	if c.QueueSize == 0 {
 		c.QueueSize = 256
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 32
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
@@ -208,7 +203,8 @@ type Server struct {
 	stop    context.CancelFunc
 	queue   *fairQueue
 	wg      sync.WaitGroup
-	readyCh chan struct{} // closed when the first dispatcher loop runs
+	ready   sync.Once
+	readyCh chan struct{} // closed when the first worker runs
 
 	// storeDegraded latches true on the first store I/O failure; from
 	// then on the daemon is RAM-only (healthz reports it).
@@ -220,7 +216,7 @@ type Server struct {
 	draining bool
 }
 
-// New builds a Server and starts its dispatcher.
+// New builds a Server and starts its workers.
 func New(cfg Config) *Server {
 	sim := obs.NewSim()
 	s := &Server{
@@ -267,8 +263,10 @@ func New(cfg Config) *Server {
 		fmt.Fprintln(w, "informd simulation service; see POST /v1/simulate, POST /v1/explain, POST /v1/experiment, GET /metrics")
 	})
 
-	s.wg.Add(1)
-	go s.dispatch()
+	s.wg.Add(s.cfg.Workers)
+	for range s.cfg.Workers {
+		go s.work()
+	}
 	return s
 }
 
@@ -289,7 +287,7 @@ func (s *Server) Drain() {
 }
 
 // Close cancels every in-flight computation (their governors abort at the
-// next poll), fails everything still queued, and waits for the dispatcher
+// next poll), fails everything still queued, and waits for every worker
 // to exit. Idempotent.
 func (s *Server) Close() {
 	s.Drain()
@@ -610,17 +608,16 @@ func (s *Server) complete(f *flight, out outcome) {
 	f.cancel()
 }
 
-// dispatch is the single batching loop: it takes the next queued flight
-// (weighted-fair across tenants), drains whatever else is already waiting
-// (up to MaxBatch) so concurrent requests land in one batch, and runs the
-// batch on the shared sched pool. While a batch runs nothing reads the
-// queue — the bounded queue filling up is the backpressure signal.
-func (s *Server) dispatch() {
+// work is one pool worker: it takes the next queued flight (weighted-fair
+// across tenants), computes it, publishes the outcome and loops, so a
+// worker that finishes starts queued work at once. The bounded queue
+// filling up while every worker is busy is the backpressure signal.
+func (s *Server) work() {
 	defer s.wg.Done()
-	close(s.readyCh) // the first dispatcher loop is running: /readyz turns ready
+	s.ready.Do(func() { close(s.readyCh) }) // a worker runs: /readyz turns ready
 	for {
-		first := s.queue.pop()
-		if first == nil {
+		f := s.queue.pop()
+		if f == nil {
 			select {
 			case <-s.queue.ready:
 				continue
@@ -629,30 +626,9 @@ func (s *Server) dispatch() {
 				return
 			}
 		}
-		batch := []*flight{first}
-		for len(batch) < s.cfg.MaxBatch {
-			f := s.queue.pop()
-			if f == nil {
-				break
-			}
-			batch = append(batch, f)
-		}
-		s.met.BatchSize.Observe(int64(len(batch)))
-
 		start := time.Now()
-		jobs := make([]sched.Job[struct{}], len(batch))
-		for i, f := range batch {
-			f := f
-			jobs[i] = func(context.Context) (struct{}, error) {
-				s.complete(f, s.compute(f))
-				return struct{}{}, nil
-			}
-		}
-		// Jobs report their errors through the flight, never to the pool,
-		// so the batch always runs to completion.
-		_, _ = sched.Map(s.baseCtx, s.cfg.Workers, jobs)
-		s.met.BatchLatencyMs.Observe(time.Since(start).Milliseconds())
-
+		s.complete(f, s.compute(f))
+		s.met.FlightLatencyMs.Observe(time.Since(start).Milliseconds())
 		if s.baseCtx.Err() != nil {
 			s.failPending()
 			return
@@ -661,8 +637,10 @@ func (s *Server) dispatch() {
 }
 
 // failPending closes the queue and completes everything still in it with
-// the shutdown error. After this, blocked enqueuers observe the closed
-// queue and fail their own flights — nothing is ever parked forever.
+// the shutdown error. Every exiting worker calls it; the first takes the
+// whole queue and the rest find it empty. After this, blocked enqueuers
+// observe the closed queue and fail their own flights — nothing is ever
+// parked forever.
 func (s *Server) failPending() {
 	for _, f := range s.queue.closeAndDrain() {
 		s.complete(f, outcome{err: errShutdown})
@@ -827,17 +805,22 @@ func writeErrorRetry(w http.ResponseWriter, status int, we *WireError, retryAfte
 }
 
 // overloadRetryAfter computes the Retry-After of a queue-overflow 429
-// from the live queue depth and the recent mean dispatcher-round latency:
-// the backlog is depth/MaxBatch rounds deep, each round historically
-// takes BatchLatencyMs. Clamped to [1, 30]; before any round has
-// completed the estimate assumes one second per round.
+// from the live queue depth and the mean per-flight service time.
 func (s *Server) overloadRetryAfter() int {
-	rounds := s.queue.depth()/s.cfg.MaxBatch + 1
-	meanMs := s.met.BatchLatencyMs.Mean()
+	return queueRetryAfter(s.queue.depth(), s.cfg.Workers, s.met.FlightLatencyMs.Mean())
+}
+
+// queueRetryAfter is the wait before a retried cell finds a free queue
+// slot: the depth queued flights plus the retry itself run
+// ⌈(depth+1)/workers⌉ flights deep per worker, each taking meanMs.
+// Clamped to [1, 30]; before any flight has completed the estimate
+// assumes one second per flight.
+func queueRetryAfter(depth, workers int, meanMs float64) int {
 	if meanMs <= 0 {
 		meanMs = 1000
 	}
-	return clampRetryAfter(int(math.Ceil(float64(rounds) * meanMs / 1000)))
+	perWorker := (depth + workers) / workers
+	return clampRetryAfter(int(math.Ceil(float64(perWorker) * meanMs / 1000)))
 }
 
 func (s *Server) observeLatency(start time.Time) {
@@ -1030,8 +1013,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.met.ForwardedServed.Add(uint64(len(cells)))
 	}
 
-	// Submit every valid cell before awaiting any, so the whole batch
-	// lands in the dispatcher's current round and runs concurrently.
+	// Submit every valid cell before awaiting any, so the request's cells
+	// queue together and run concurrently on whichever workers are free.
 	results := make([]CellResult, len(cells))
 	tickets := make([]*ticket, len(cells))
 	for i, cell := range cells {
@@ -1340,15 +1323,16 @@ func (s *Server) clusterStatus() map[string]any {
 
 // handleReadyz is readiness: 200 only once the store has been opened and
 // recovered (a *Server is only constructible with an opened store) and
-// the first dispatcher loop is running, and never while draining — so a
-// rotation never routes traffic to a cold or recovering daemon.
+// the first worker is running, and never while draining — so a rotation
+// never routes traffic to a cold or recovering daemon.
 //
 // The body carries per-subsystem detail so an operator can tell WHY a
-// node is not ready (dispatcher not started? draining?) and what state
+// node is not ready (workers not started? draining?) and what state
 // the degradable subsystems are in (store demoted to RAM-only? peers
-// unreachable?). Only the dispatcher and draining gates decide the
-// status code: store degradation and peer outages degrade service
-// quality, never correctness, so they must not rotate the node out.
+// unreachable?). Only the "dispatcher" subsystem (the worker pool that
+// takes flights off the queue) and draining decide the status code:
+// store degradation and peer outages degrade service quality, never
+// correctness, so they must not rotate the node out.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	started := false
 	select {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -332,9 +333,9 @@ func TestDuplicateRequestsCoalesce(t *testing.T) {
 func TestQueueOverflow429(t *testing.T) {
 	runner := newFakeRunner(true)
 	defer close(runner.release)
-	s, ts := newTestServer(t, Config{runCell: runner.run, Workers: 1, QueueSize: 1, MaxBatch: 1})
+	s, ts := newTestServer(t, Config{runCell: runner.run, Workers: 1, QueueSize: 1})
 
-	// First cell: dequeued by the dispatcher, blocks inside the runner.
+	// First cell: taken by the single worker, blocks inside the runner.
 	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "S1", "ooo")}})
 	select {
 	case <-runner.started:
@@ -392,7 +393,7 @@ func TestBudgetAbortErrorBody(t *testing.T) {
 
 // TestClientCancellationCancelsFlight: when every request interested in a
 // flight goes away, the flight's context is cancelled so the simulation
-// aborts mid-batch instead of running to completion for nobody.
+// aborts mid-run instead of running to completion for nobody.
 func TestClientCancellationCancelsFlight(t *testing.T) {
 	runner := newFakeRunner(true) // blocks until ctx cancellation (never released)
 	s, ts := newTestServer(t, Config{runCell: runner.run})
@@ -487,34 +488,64 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchedCellsRunInOneRound: one request's cells are all submitted
-// before any is awaited, so a multi-cell batch lands in the dispatcher's
-// round and runs under the pool concurrently (not serially per cell).
-func TestBatchedCellsRunInOneRound(t *testing.T) {
-	runner := newFakeRunner(true)
-	// A held cell keeps the dispatcher busy while the batch is submitted;
-	// otherwise a dispatcher woken by the first submit may start a round
-	// before the other two are queued.
-	hold := make(chan struct{})
-	s, ts := newTestServer(t, Config{Workers: 4, MaxBatch: 8, runCell: func(ctx context.Context, c Request) outcome {
+// TestFreeWorkerStartsQueuedFlight: a cell submitted while another is
+// still running starts on the next free worker; it does not wait for the
+// running cell to finish.
+func TestFreeWorkerStartsQueuedFlight(t *testing.T) {
+	runner := newFakeRunner(false)
+	heldStarted, hold := make(chan struct{}), make(chan struct{})
+	_, ts := newTestServer(t, Config{Workers: 2, runCell: func(ctx context.Context, c Request) outcome {
 		if c.Benchmark == "ear" {
-			<-hold
+			close(heldStarted)
+			select {
+			case <-hold:
+			case <-ctx.Done():
+			}
 			return outcome{run: &stats.Run{}}
 		}
 		return runner.run(ctx, c)
 	}})
-	releaseHold, releaseRunner := sync.OnceFunc(func() { close(hold) }), sync.OnceFunc(func() { close(runner.release) })
-	t.Cleanup(releaseHold) // a failed test must not leave the server waiting on these
-	t.Cleanup(releaseRunner)
-	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("ear", "S1", "ooo")}})
-	deadline := time.After(5 * time.Second)
-	for s.met.Inflight.Load() != 1 || s.queue.depth() != 0 {
-		select {
-		case <-deadline:
-			t.Fatal("held cell never reached the pool")
-		case <-time.After(time.Millisecond):
-		}
+	releaseHold := sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(releaseHold) // a failed test must not leave the request open
+
+	heldDone := make(chan []byte, 1)
+	go func() {
+		_, body, _ := tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("ear", "S1", "ooo")}})
+		heldDone <- body
+	}()
+	select {
+	case <-heldStarted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("held cell never started")
 	}
+
+	done := make(chan []byte, 1)
+	go func() {
+		_, body, _ := tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "S1", "ooo")}})
+		done <- body
+	}()
+	select {
+	case <-runner.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("second cell waited for the held one: the free worker never started it")
+	}
+	if sr := decodeSim(t, <-done); sr.Results[0].Error != nil || sr.Results[0].Run == nil {
+		t.Fatalf("second cell = %+v, want success", sr.Results[0])
+	}
+	releaseHold()
+	if sr := decodeSim(t, <-heldDone); sr.Results[0].Error != nil || sr.Results[0].Run == nil {
+		t.Fatalf("held cell = %+v, want success", sr.Results[0])
+	}
+}
+
+// TestRequestCellsStartTogether: one request's cells are all submitted
+// before any is awaited, so with enough workers they run concurrently,
+// not serially per cell.
+func TestRequestCellsStartTogether(t *testing.T) {
+	runner := newFakeRunner(true)
+	s, ts := newTestServer(t, Config{Workers: 3, runCell: runner.run})
+	releaseRunner := sync.OnceFunc(func() { close(runner.release) })
+	t.Cleanup(releaseRunner) // a failed test must not leave the server waiting
 
 	done := make(chan []byte, 1)
 	go func() {
@@ -525,16 +556,13 @@ func TestBatchedCellsRunInOneRound(t *testing.T) {
 		}})
 		done <- body
 	}()
-	waitForQueued(t, s, 3)
-	releaseHold()
 
-	// All three computations start before any completes — they are in
-	// flight together on the pool.
+	// All three computations start before any completes.
 	for i := 0; i < 3; i++ {
 		select {
 		case <-runner.started:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of 3 batched cells started concurrently", i)
+			t.Fatalf("only %d of 3 cells started concurrently", i)
 		}
 	}
 	releaseRunner()
@@ -557,32 +585,154 @@ func TestBatchedCellsRunInOneRound(t *testing.T) {
 	}
 }
 
-// TestShutdownFailsQueuedFlights: Close while work is queued completes
-// every queued flight with a canceled outcome instead of leaking waiters.
-func TestShutdownFailsQueuedFlights(t *testing.T) {
-	runner := newFakeRunner(true)
-	s := New(Config{runCell: runner.run, Workers: 1, QueueSize: 4, MaxBatch: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "S1", "ooo")}})
-	<-runner.started // dispatcher busy; everything else will queue
-
-	queued := make(chan []byte, 1)
-	go func() {
-		_, body, _ := tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("espresso", "S1", "ooo")}})
-		queued <- body
-	}()
-	waitForQueued(t, s, 1)
-
-	go s.Close() // cancels the blocked runner (ctx) and fails the queue
-	sr := decodeSim(t, <-queued)
-	we := sr.Results[0].Error
-	if we == nil || we.Code != CodeCanceled {
-		t.Fatalf("queued flight outcome = %+v, want canceled", sr.Results[0])
+// TestBurstStartsConcurrently: K <= Workers cells pushed back to back
+// all start before any finishes, round after round. Where the pushes
+// coalesce into one ready signal this rests on each woken worker
+// re-arming it, which TestFairQueueBurstWakesEveryWaiter pins.
+func TestBurstStartsConcurrently(t *testing.T) {
+	const workers = 4
+	var (
+		mu      sync.Mutex
+		release chan struct{}
+	)
+	started := make(chan struct{}, workers)
+	_, ts := newTestServer(t, Config{Workers: workers, runCell: func(ctx context.Context, c Request) outcome {
+		mu.Lock()
+		r := release
+		mu.Unlock()
+		started <- struct{}{}
+		select {
+		case <-r:
+		case <-ctx.Done():
+		}
+		return outcome{run: &stats.Run{}}
+	}})
+	for round, k := range []int{workers, 2, workers, 3, workers} {
+		r := make(chan struct{})
+		mu.Lock()
+		release = r
+		mu.Unlock()
+		cells := make([]Request, k)
+		for i := range cells {
+			cells[i] = cellReq("compress", "S1", "ooo")
+			cells[i].MaxInsts = uint64(1_000_000 + 1000*round + i) // distinct flights
+		}
+		done := make(chan []byte, 1)
+		go func() {
+			_, body, _ := tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: cells})
+			done <- body
+		}()
+		for i := 0; i < k; i++ {
+			select {
+			case <-started:
+			case <-time.After(5 * time.Second):
+				close(r)
+				t.Fatalf("round %d: only %d of %d burst cells started with %d idle workers", round, i, k, workers)
+			}
+		}
+		close(r)
+		for i, res := range decodeSim(t, <-done).Results {
+			if res.Error != nil || res.Run == nil {
+				t.Fatalf("round %d result %d = %+v, want success", round, i, res)
+			}
+		}
 	}
+}
+
+// TestShutdownFailsQueuedFlights: Close while every worker is busy and
+// work is queued completes each queued flight exactly once with a
+// canceled outcome, and returns only after every worker has exited.
+func TestShutdownFailsQueuedFlights(t *testing.T) {
 	if !errors.Is(errShutdown, govern.ErrCanceled) {
 		t.Fatal("errShutdown must wrap govern.ErrCanceled")
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const queuedN = 3
+			baseline, baseWorkers := runtime.NumGoroutine(), runningWorkers()
+			runner := newFakeRunner(true)
+			s := New(Config{Workers: workers, QueueSize: 8, runCell: func(ctx context.Context, c Request) outcome {
+				out := runner.run(ctx, c)
+				time.Sleep(20 * time.Millisecond) // a governor notices cancellation at its next poll
+				return out
+			}})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			post := func(i int, out chan<- []byte) {
+				machine := []string{MachineOOO, MachineInOrder}[i%2]
+				_, body, _ := tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{
+					cellReq([]string{"compress", "espresso", "tomcatv", "ear"}[i/2], "S1", machine)}})
+				out <- body
+			}
+			// Hold every worker, so that the cells after them really queue.
+			held := make(chan []byte, workers)
+			for i := 0; i < workers; i++ {
+				go post(i, held)
+			}
+			for i := 0; i < workers; i++ {
+				select {
+				case <-runner.started:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("only %d of %d workers busy", i, workers)
+				}
+			}
+			queued := make(chan []byte, queuedN)
+			for i := workers; i < workers+queuedN; i++ {
+				go post(i, queued)
+			}
+			waitForQueued(t, s, queuedN)
+
+			s.Close() // cancels the held runners (ctx) and fails the queue
+			if got := runningWorkers(); got != baseWorkers {
+				t.Fatalf("Close returned with %d workers still running", got-baseWorkers)
+			}
+			for _, ch := range []chan []byte{queued, held} {
+				for i := 0; i < cap(ch); i++ {
+					var body []byte
+					select {
+					case body = <-ch:
+					case <-time.After(5 * time.Second):
+						t.Fatal("a request never got its answer after Close")
+					}
+					sr := decodeSim(t, body)
+					if we := sr.Results[0].Error; we == nil || we.Code != CodeCanceled {
+						t.Fatalf("outcome = %+v, want canceled", sr.Results[0])
+					}
+				}
+			}
+			// Every flight completed once, with an error; the queued ones
+			// never reached the runner.
+			if got := s.met.CellErrors.Load(); got != uint64(workers+queuedN) {
+				t.Fatalf("%d flights completed with an error, want %d", got, workers+queuedN)
+			}
+			if got := runner.total(); got != workers {
+				t.Fatalf("runner invoked %d times, want %d (queued flights must not compute)", got, workers)
+			}
+
+			ts.Close()
+			http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+			deadline := time.After(5 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				select {
+				case <-deadline:
+					t.Fatalf("%d goroutines after shutdown, baseline %d", runtime.NumGoroutine(), baseline)
+				case <-time.After(time.Millisecond):
+				}
+			}
+		})
+	}
+}
+
+// runningWorkers counts the goroutines running (*Server).work.
+func runningWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("serve.(*Server).work("))
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 
@@ -689,9 +839,9 @@ func TestExperimentGridBounds(t *testing.T) {
 // and being served a cancellation caused by another client's disconnect.
 func TestStaleCancelledFlightNotJoined(t *testing.T) {
 	runner := newFakeRunner(true)
-	s, ts := newTestServer(t, Config{runCell: runner.run, Workers: 1, QueueSize: 4, MaxBatch: 1})
+	s, ts := newTestServer(t, Config{runCell: runner.run, Workers: 1, QueueSize: 4})
 
-	// Cell A: dequeued by the dispatcher, blocks inside the runner.
+	// Cell A: taken by the single worker, blocks inside the runner.
 	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "S1", "ooo")}})
 	select {
 	case <-runner.started:
@@ -720,7 +870,7 @@ func TestStaleCancelledFlightNotJoined(t *testing.T) {
 		t.Fatal("cancelled request unexpectedly succeeded")
 	}
 	// The abandoned flight must leave the index even though it is still
-	// sitting in the queue (the dispatcher is busy with A).
+	// sitting in the queue (the only worker is busy with A).
 	deadline := time.After(5 * time.Second)
 	for s.met.Inflight.Load() != 1 {
 		select {
@@ -762,7 +912,7 @@ func TestExperimentFailureReleasesRemainingFlights(t *testing.T) {
 	failCell := mustCanon(t, cellReq("compress", "N", "ooo"))
 	runner := newFakeRunner(true)
 	bad := canonicalString(failCell)
-	cfg := Config{Workers: 4, MaxBatch: 16, runCell: func(ctx context.Context, c Request) outcome {
+	cfg := Config{Workers: 4, runCell: func(ctx context.Context, c Request) outcome {
 		if canonicalString(c) == bad {
 			return outcome{err: fmt.Errorf("synthetic cell failure")}
 		}

@@ -42,7 +42,7 @@ type TenantSpec struct {
 	// many cells a tenant can land instantaneously.
 	Burst float64 `json:"burst,omitempty"`
 
-	// Weight is the tenant's share in the weighted-fair dispatcher queue
+	// Weight is the tenant's share in the weighted-fair queue
 	// (0 = 1). A weight-4 tenant drains four queued cells for every one a
 	// weight-1 tenant drains while both have work pending.
 	Weight int `json:"weight,omitempty"`

@@ -73,14 +73,14 @@ type FS interface {
 // OSFS is the passthrough FS.
 type OSFS struct{}
 
-func (OSFS) MkdirAll(path string, perm os.FileMode) error     { return os.MkdirAll(path, perm) }
-func (OSFS) ReadDir(name string) ([]os.DirEntry, error)       { return os.ReadDir(name) }
-func (OSFS) ReadFile(name string) ([]byte, error)             { return os.ReadFile(name) }
+func (OSFS) MkdirAll(path string, perm os.FileMode) error      { return os.MkdirAll(path, perm) }
+func (OSFS) ReadDir(name string) ([]os.DirEntry, error)        { return os.ReadDir(name) }
+func (OSFS) ReadFile(name string) ([]byte, error)              { return os.ReadFile(name) }
 func (OSFS) WriteFile(n string, d []byte, p os.FileMode) error { return os.WriteFile(n, d, p) }
-func (OSFS) Rename(oldpath, newpath string) error             { return os.Rename(oldpath, newpath) }
-func (OSFS) Remove(name string) error                         { return os.Remove(name) }
-func (OSFS) Stat(name string) (os.FileInfo, error)            { return os.Stat(name) }
-func (OSFS) Chtimes(n string, a, m time.Time) error           { return os.Chtimes(n, a, m) }
+func (OSFS) Rename(oldpath, newpath string) error              { return os.Rename(oldpath, newpath) }
+func (OSFS) Remove(name string) error                          { return os.Remove(name) }
+func (OSFS) Stat(name string) (os.FileInfo, error)             { return os.Stat(name) }
+func (OSFS) Chtimes(n string, a, m time.Time) error            { return os.Chtimes(n, a, m) }
 
 // Options parameterise Open.
 type Options struct {
