@@ -1,9 +1,9 @@
 // Command benchdiff compares a freshly measured hotpathbench report
 // against the committed one and fails (exit 1) when a watched
 // measurement regressed beyond its allowed threshold. It is the CI perf
-// gate for the block-compiled kernel (DESIGN.md §14): the committed
-// BENCH_hotpath.json is the floor, and a ns/inst increase beyond a
-// measurement's threshold breaks the build.
+// gate for the simulator's hot path (EXPERIMENTS.md "Hot-path
+// benchmarks"): the committed BENCH_hotpath.json is the floor, and a
+// ns/inst increase beyond a measurement's threshold breaks the build.
 //
 //	go run ./cmd/hotpathbench -repeat 3 -out /tmp/bench.json
 //	go run ./cmd/benchdiff -committed BENCH_hotpath.json -fresh /tmp/bench.json
@@ -42,19 +42,12 @@ type report struct {
 // cellThresholds widens the gate for measurements whose per-op time is
 // small enough that code layout and branch-predictor state move them by
 // double-digit percentages with no semantic change. EXPERIMENTS.md
-// ("Hot-path kernel") records the observed swing behind each bound; the
+// ("Hot-path benchmarks") records the observed swing behind each bound; the
 // full-cell measurements keep the flag default.
 var cellThresholds = map[string]float64{
 	"interp_run":   0.25, // ~19.7 ns/op raw decode loop; ±2% run-to-run, layout-sensitive
 	"cache_mix":    0.30, // ~20 ns/op cache probe microbenchmark
 	"dataMem_walk": 0.30, // ~4.7 ns/op pointer walk; single-ns shifts are >20%
-
-	// The _noblock lanes run the interpreted fallback purely to quantify
-	// the block kernel's speedup; they are not a served path, and the
-	// interpreter's dispatch loop swings harder with layout than the
-	// compiled blocks do.
-	"ooo_cell_noblock":     0.20,
-	"inorder_cell_noblock": 0.20,
 }
 
 func load(path string) (report, error) {

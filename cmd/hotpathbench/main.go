@@ -129,15 +129,6 @@ func main() {
 	measure("interp_run", benchInterpRun)
 	measure("ooo_cell", func() (uint64, error) { return benchCell(core.R10000(core.TrapBranch), "compress") })
 	measure("inorder_cell", func() (uint64, error) { return benchCell(core.Alpha21164(core.TrapBranch), "tomcatv") })
-	// The same cells on the per-instruction front end (DESIGN.md §14):
-	// the difference against ooo_cell/inorder_cell is the block kernel's
-	// contribution in isolation.
-	measure("ooo_cell_noblock", func() (uint64, error) {
-		return benchCell(core.R10000(core.TrapBranch).WithBlockKernel(false), "compress")
-	})
-	measure("inorder_cell_noblock", func() (uint64, error) {
-		return benchCell(core.Alpha21164(core.TrapBranch).WithBlockKernel(false), "tomcatv")
-	})
 	measure("fig2_cell", benchFig2Cell)
 
 	if *baseline != "" {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,15 +9,18 @@ import (
 	"informing/internal/asm"
 	"informing/internal/interp"
 	"informing/internal/isa"
+	"informing/internal/mem"
 )
 
-// Cross-engine differential fuzz (DESIGN.md §14). The block-compiled
-// front end must be observationally identical to per-instruction
-// stepping: same stats.Run, same final architectural state, for every
-// machine model and informing scheme. Seeded random programs cover block
-// shapes the curated workloads do not — odd-length blocks, branches into
-// block interiors, informing redirects mid-block, back-to-back
-// terminators, serializing counter reads.
+// Cross-engine differential (DESIGN.md §14). A timing core drives the
+// functional machine one instruction at a time from its fetch loop, so
+// its final architectural state must be exactly what the plain
+// functional interpreter reaches on the same program over the same cache
+// geometry: the informing decisions (trap or not, BMISS taken or not)
+// then coincide reference for reference. Seeded random programs cover
+// shapes the curated workloads do not — odd-length loop bodies, forward
+// branches, informing redirects, back-to-back terminators, serializing
+// counter reads.
 
 // fuzzProgram builds a seeded random terminating program: a bounded
 // counting loop whose body mixes ALU ops, plain and informing memory
@@ -82,10 +84,12 @@ func fuzzProgram(seed int64) *isa.Program {
 	return b.MustFinish()
 }
 
-// TestBlockKernelDifferential: for every machine model × informing
-// scheme × seed, a run with the block kernel and a run with the
-// per-instruction front end must agree exactly — full stats.Run and the
-// final architectural fingerprint.
+// TestBlockKernelDifferential (named for the block-compiled front end it
+// once compared against): for every machine model × informing scheme ×
+// seed, the timing core's final architectural fingerprint and dynamic
+// instruction count must equal the functional interpreter's over a fresh
+// hierarchy of the same geometry, and a repeated run must reproduce the
+// full stats.Run.
 func TestBlockKernelDifferential(t *testing.T) {
 	mkCfg := []func(Scheme) Config{R10000, Alpha21164}
 	schemes := []Scheme{Off, CondCode, TrapBranch, TrapException}
@@ -96,50 +100,36 @@ func TestBlockKernelDifferential(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/seed%d", cfg.Machine, scheme, seed)
 				t.Run(name, func(t *testing.T) {
 					prog := fuzzProgram(seed)
-					base := mk(scheme).WithMaxInsts(5_000_000)
-					runOn, mOn, err := base.WithBlockKernel(true).RunDetailed(prog)
+					cfg := mk(scheme).WithMaxInsts(5_000_000)
+					run, m, err := cfg.RunDetailed(prog)
 					if err != nil {
-						t.Fatalf("block kernel run: %v", err)
+						t.Fatalf("timing run: %v", err)
 					}
-					runOff, mOff, err := base.WithBlockKernel(false).RunDetailed(prog)
+					again, _, err := cfg.RunDetailed(prog)
 					if err != nil {
-						t.Fatalf("per-instruction run: %v", err)
+						t.Fatalf("repeated timing run: %v", err)
 					}
-					if !reflect.DeepEqual(runOn, runOff) {
-						t.Errorf("stats.Run diverged:\n block: %+v\n perinst: %+v", runOn, runOff)
+					if !reflect.DeepEqual(run, again) {
+						t.Errorf("stats.Run not reproducible:\n first: %+v\nsecond: %+v", run, again)
 					}
-					if fOn, fOff := machineFingerprint(mOn), machineFingerprint(mOff); fOn != fOff {
-						t.Errorf("architectural fingerprint diverged: block %#x vs per-inst %#x", fOn, fOff)
+
+					hier, err := mem.NewHierarchy(cfg.HierConfig())
+					if err != nil {
+						t.Fatal(err)
 					}
-					if mOn.Seq != mOff.Seq {
-						t.Errorf("dynamic instruction count diverged: %d vs %d", mOn.Seq, mOff.Seq)
+					ref := interp.New(prog, scheme.Mode(), hier.ProbeData)
+					ref.TrapThreshold = m.TrapThreshold
+					if err := ref.Run(5_000_000); err != nil {
+						t.Fatalf("functional run: %v", err)
+					}
+					if got, want := machineFingerprint(m), machineFingerprint(ref); got != want {
+						t.Errorf("architectural fingerprint diverged: timing %#x vs functional %#x", got, want)
+					}
+					if m.Seq != ref.Seq || run.DynInsts != ref.Seq || run.Instrs != ref.Seq {
+						t.Errorf("dynamic instruction count diverged: machine %d, run %d executed / %d graduated, functional %d",
+							m.Seq, run.DynInsts, run.Instrs, ref.Seq)
 					}
 				})
-			}
-		}
-	}
-}
-
-// TestBlockKernelSMCPropagates: a store into the text segment surfaces
-// interp.ErrTextWrite through both timing cores, on both front ends, so
-// the block table can never execute stale predecode.
-func TestBlockKernelSMCPropagates(t *testing.T) {
-	b := asm.NewBuilder()
-	b.LoadImm(isa.R(1), int64(isa.DefaultTextBase))
-	b.LoadImm(isa.R(2), 0xbad)
-	for i := 0; i < 5; i++ {
-		b.Add(isa.R(3), isa.R(1), isa.R(2))
-	}
-	b.St(isa.R(2), isa.R(1), 0, false)
-	b.Halt()
-	prog := b.MustFinish()
-
-	for _, mk := range []func(Scheme) Config{R10000, Alpha21164} {
-		for _, kernel := range []bool{true, false} {
-			cfg := mk(Off).WithMaxInsts(1000).WithBlockKernel(kernel)
-			_, err := cfg.Run(prog)
-			if !errors.Is(err, interp.ErrTextWrite) {
-				t.Errorf("%s kernel=%v: err = %v, want interp.ErrTextWrite", cfg.Machine, kernel, err)
 			}
 		}
 	}

@@ -136,16 +136,6 @@ func (c Config) WithMaxInsts(n uint64) Config {
 	return c
 }
 
-// WithBlockKernel enables or disables the block-compiled execution
-// kernel (DESIGN.md §14) on both timing cores. The kernel is on by
-// default; disabling it forces the historical per-instruction front end,
-// which the differential tests use to cross-check the two paths.
-func (c Config) WithBlockKernel(enabled bool) Config {
-	c.OOO.DisableBlockKernel = !enabled
-	c.IO.DisableBlockKernel = !enabled
-	return c
-}
-
 // WithTrace attaches a per-instruction pipeline trace callback (invoked in
 // graduation order) to whichever machine runs.
 func (c Config) WithTrace(fn func(stats.TraceEvent)) Config {

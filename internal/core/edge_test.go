@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"informing/internal/asm"
+	"informing/internal/interp"
 	"informing/internal/isa"
 )
 
@@ -134,6 +136,27 @@ func TestStoreHeavyProgram(t *testing.T) {
 		}
 		if run.L1Misses != 8192 {
 			t.Errorf("%v: store misses %d, want 8192", cfg.Machine, run.L1Misses)
+		}
+	}
+}
+
+// TestTextWriteSurfacesThroughCores: a store into the text segment
+// surfaces interp.ErrTextWrite through both timing cores, so neither can
+// execute stale predecode.
+func TestTextWriteSurfacesThroughCores(t *testing.T) {
+	b := asm.NewBuilder()
+	b.LoadImm(isa.R(1), int64(isa.DefaultTextBase))
+	b.LoadImm(isa.R(2), 0xbad)
+	for i := 0; i < 5; i++ {
+		b.Add(isa.R(3), isa.R(1), isa.R(2))
+	}
+	b.St(isa.R(2), isa.R(1), 0, false)
+	b.Halt()
+	prog := b.MustFinish()
+
+	for _, cfg := range bothMachines(Off) {
+		if _, err := cfg.WithMaxInsts(1000).Run(prog); !errors.Is(err, interp.ErrTextWrite) {
+			t.Errorf("%v: err = %v, want interp.ErrTextWrite", cfg.Machine, err)
 		}
 	}
 }

@@ -170,15 +170,12 @@ func TestTimingHotLoopAllocationFree(t *testing.T) {
 	cells := []struct {
 		name    string
 		machine Machine
-		kernel  bool
 		policy  string
 	}{
-		{"ooo", OutOfOrder, true, ""},
-		{"inorder", InOrder, true, ""},
-		{"ooo-perinst", OutOfOrder, false, ""},
-		{"inorder-perinst", InOrder, false, ""},
-		{"ooo-srrip", OutOfOrder, true, "srrip"},
-		{"inorder-trrip", InOrder, true, "trrip"},
+		{"ooo", OutOfOrder, ""},
+		{"inorder", InOrder, ""},
+		{"ooo-srrip", OutOfOrder, "srrip"},
+		{"inorder-trrip", InOrder, "trrip"},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
@@ -197,7 +194,7 @@ func TestTimingHotLoopAllocationFree(t *testing.T) {
 				} else {
 					cfg = R10000(TrapBranch)
 				}
-				cfg = cfg.WithBlockKernel(c.kernel).WithPolicy(c.policy)
+				cfg = cfg.WithPolicy(c.policy)
 				runtime.GC()
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)

@@ -86,13 +86,9 @@ func machineFingerprint(m *interp.Machine) uint64 {
 	return h
 }
 
-func runGoldenCell(t *testing.T, c goldenCell, blockKernel bool) (stats.Run, uint64) {
-	return runGoldenCellPolicy(t, c, "", blockKernel)
-}
-
-// runGoldenCellPolicy runs a golden cell under a named replacement policy
+// runGoldenCell runs a golden cell under a named replacement policy
 // ("" = the default true-LRU path; see TestPolicyGolden).
-func runGoldenCellPolicy(t *testing.T, c goldenCell, policy string, blockKernel bool) (stats.Run, uint64) {
+func runGoldenCell(t *testing.T, c goldenCell, policy string) (stats.Run, uint64) {
 	t.Helper()
 	bm, ok := workload.ByName(c.bench)
 	if !ok {
@@ -108,7 +104,7 @@ func runGoldenCellPolicy(t *testing.T, c goldenCell, policy string, blockKernel 
 	} else {
 		cfg = R10000(c.scheme)
 	}
-	run, m, err := cfg.WithPolicy(policy).WithMaxInsts(100_000_000).WithBlockKernel(blockKernel).RunDetailed(prog)
+	run, m, err := cfg.WithPolicy(policy).WithMaxInsts(100_000_000).RunDetailed(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +114,7 @@ func runGoldenCellPolicy(t *testing.T, c goldenCell, policy string, blockKernel 
 	return run, machineFingerprint(m)
 }
 
-// TestHotpathGolden replays every cell — on the block-compiled kernel and
-// on the per-instruction front end — and demands byte-identical
+// TestHotpathGolden replays every cell and demands byte-identical
 // statistics and architectural state versus the recorded reference.
 func TestHotpathGolden(t *testing.T) {
 	if testing.Short() {
@@ -128,55 +123,44 @@ func TestHotpathGolden(t *testing.T) {
 	printMode := os.Getenv("HOTPATH_GOLDEN_PRINT") != ""
 	for _, c := range goldenCells() {
 		c := c
-		for _, kernel := range []bool{true, false} {
-			kernel := kernel
-			name := c.key() + "/block"
-			if !kernel {
-				name = c.key() + "/perinst"
+		t.Run(c.key(), func(t *testing.T) {
+			run, fp := runGoldenCell(t, c, "")
+			// The taxonomy conservation invariant holds on every golden
+			// cell: the per-level classes sum exactly to the per-level
+			// miss counters.
+			if err := run.CheckTaxonomy(); err != nil {
+				t.Error(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				run, fp := runGoldenCell(t, c, kernel)
-				// The taxonomy conservation invariant holds on every
-				// golden cell: the per-level classes sum exactly to the
-				// per-level miss counters.
-				if err := run.CheckTaxonomy(); err != nil {
-					t.Error(err)
-				}
-				if printMode {
-					if kernel {
-						legacy := run
-						legacy.L1Tax, legacy.L2Tax = stats.MissClasses{}, stats.MissClasses{}
-						fmt.Printf("\t%q: {%#v, %#x},\n", c.key(), legacy, fp)
-						fmt.Printf("\tTAX %q: {%#v, %#v},\n", c.key(), run.L1Tax, run.L2Tax)
-					}
-					return
-				}
-				want, ok := hotpathGolden[c.key()]
-				if !ok {
-					t.Fatalf("no golden entry for %s (regenerate with HOTPATH_GOLDEN_PRINT=1)", c.key())
-				}
-				// The legacy table predates the miss taxonomy (its
-				// entries carry zero classes); compare against it with
-				// the taxonomy masked so the pre-PR pin stays untouched,
-				// and pin the taxonomy itself in hotpathTaxGolden.
-				legacy := run
-				legacy.L1Tax, legacy.L2Tax = stats.MissClasses{}, stats.MissClasses{}
-				if legacy != want.run {
-					t.Errorf("stats.Run diverged from pre-optimization reference:\n got: %+v\nwant: %+v", legacy, want.run)
-				}
-				if fp != want.fingerprint {
-					t.Errorf("final architectural state diverged: fingerprint %#x, want %#x", fp, want.fingerprint)
-				}
-				wantTax, ok := hotpathTaxGolden[c.key()]
-				if !ok {
-					t.Fatalf("no taxonomy golden entry for %s (regenerate with HOTPATH_GOLDEN_PRINT=1)", c.key())
-				}
-				if run.L1Tax != wantTax.l1 || run.L2Tax != wantTax.l2 {
-					t.Errorf("miss taxonomy diverged:\n got: L1{%v} L2{%v}\nwant: L1{%v} L2{%v}",
-						run.L1Tax, run.L2Tax, wantTax.l1, wantTax.l2)
-				}
-			})
-		}
+			// The legacy table predates the miss taxonomy (its entries
+			// carry zero classes); compare against it with the taxonomy
+			// masked so the pre-PR pin stays untouched, and pin the
+			// taxonomy itself in hotpathTaxGolden.
+			legacy := run
+			legacy.L1Tax, legacy.L2Tax = stats.MissClasses{}, stats.MissClasses{}
+			if printMode {
+				fmt.Printf("\t%q: {%#v, %#x},\n", c.key(), legacy, fp)
+				fmt.Printf("\tTAX %q: {%#v, %#v},\n", c.key(), run.L1Tax, run.L2Tax)
+				return
+			}
+			want, ok := hotpathGolden[c.key()]
+			if !ok {
+				t.Fatalf("no golden entry for %s (regenerate with HOTPATH_GOLDEN_PRINT=1)", c.key())
+			}
+			if legacy != want.run {
+				t.Errorf("stats.Run diverged from pre-optimization reference:\n got: %+v\nwant: %+v", legacy, want.run)
+			}
+			if fp != want.fingerprint {
+				t.Errorf("final architectural state diverged: fingerprint %#x, want %#x", fp, want.fingerprint)
+			}
+			wantTax, ok := hotpathTaxGolden[c.key()]
+			if !ok {
+				t.Fatalf("no taxonomy golden entry for %s (regenerate with HOTPATH_GOLDEN_PRINT=1)", c.key())
+			}
+			if run.L1Tax != wantTax.l1 || run.L2Tax != wantTax.l2 {
+				t.Errorf("miss taxonomy diverged:\n got: L1{%v} L2{%v}\nwant: L1{%v} L2{%v}",
+					run.L1Tax, run.L2Tax, wantTax.l1, wantTax.l2)
+			}
+		})
 	}
 }
 

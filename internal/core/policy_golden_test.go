@@ -10,16 +10,12 @@ import (
 
 // TestPolicyGolden extends the golden grid along the replacement-policy
 // dimension (DESIGN.md §17): a subset of the hot-path cells runs under
-// each Policy-seam policy, on both the block-compiled kernel and the
-// per-instruction front end, against a pinned table of full statistics —
+// each Policy-seam policy against a pinned table of full statistics —
 // miss taxonomy included — and the final-state fingerprint.
-//
-// Beyond simple regression detection, block-kernel and per-instruction
-// runs of the same cell must match the same entry bit for bit — the
-// kernel equivalence gate, under every policy. (Cross-policy
-// architectural neutrality is TestPolicyArchitecturalNeutrality's job:
-// the full fingerprint includes the MissCounter register, which is
-// architecturally visible and legitimately policy-dependent.)
+// (Cross-policy architectural neutrality is
+// TestPolicyArchitecturalNeutrality's job: the full fingerprint includes
+// the MissCounter register, which is architecturally visible and
+// legitimately policy-dependent.)
 //
 // Regenerate (only when intentionally changing simulator semantics) with:
 //
@@ -44,35 +40,26 @@ func TestPolicyGolden(t *testing.T) {
 		for _, c := range policyGoldenCells() {
 			c := c
 			key := policy + "/" + c.key()
-			for _, kernel := range []bool{true, false} {
-				kernel := kernel
-				name := key + "/block"
-				if !kernel {
-					name = key + "/perinst"
+			t.Run(key, func(t *testing.T) {
+				run, fp := runGoldenCell(t, c, policy)
+				if err := run.CheckTaxonomy(); err != nil {
+					t.Error(err)
 				}
-				t.Run(name, func(t *testing.T) {
-					run, fp := runGoldenCellPolicy(t, c, policy, kernel)
-					if err := run.CheckTaxonomy(); err != nil {
-						t.Error(err)
-					}
-					if printMode {
-						if kernel {
-							fmt.Printf("\t%q: {%#v, %#x},\n", key, run, fp)
-						}
-						return
-					}
-					want, ok := policyGolden[key]
-					if !ok {
-						t.Fatalf("no golden entry for %s (regenerate with POLICY_GOLDEN_PRINT=1)", key)
-					}
-					if run != want.run {
-						t.Errorf("stats.Run diverged from pinned reference:\n got: %+v\nwant: %+v", run, want.run)
-					}
-					if fp != want.fingerprint {
-						t.Errorf("final architectural state diverged: fingerprint %#x, want %#x", fp, want.fingerprint)
-					}
-				})
-			}
+				if printMode {
+					fmt.Printf("\t%q: {%#v, %#x},\n", key, run, fp)
+					return
+				}
+				want, ok := policyGolden[key]
+				if !ok {
+					t.Fatalf("no golden entry for %s (regenerate with POLICY_GOLDEN_PRINT=1)", key)
+				}
+				if run != want.run {
+					t.Errorf("stats.Run diverged from pinned reference:\n got: %+v\nwant: %+v", run, want.run)
+				}
+				if fp != want.fingerprint {
+					t.Errorf("final architectural state diverged: fingerprint %#x, want %#x", fp, want.fingerprint)
+				}
+			})
 		}
 	}
 }

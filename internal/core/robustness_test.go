@@ -10,6 +10,7 @@ import (
 	"informing/internal/govern"
 	"informing/internal/interp"
 	"informing/internal/isa"
+	"informing/internal/workload"
 )
 
 // buildSpin is an infinite counting loop: it never halts, so only the
@@ -117,6 +118,51 @@ func TestContextCancelAborts(t *testing.T) {
 		}
 		if _, ok := govern.SnapshotIn(err); !ok {
 			t.Errorf("%v: cancel abort carries no snapshot", cfg.Machine)
+		}
+	}
+}
+
+// TestCancelSnapshotMatchesCore: an abort snapshot describes the state
+// the timing core actually fetched, not a functional machine running
+// ahead of it. A run canceled before it starts stops at the first context
+// poll; by then the out-of-order core has graduated Partial.Instrs
+// instructions and holds ROBOccupied more, and the machine has executed
+// exactly those, while the in-order core steps at most the instruction it
+// is retiring.
+func TestCancelSnapshotMatchesCore(t *testing.T) {
+	bm, ok := workload.ByName("compress")
+	if !ok {
+		t.Fatal("unknown benchmark compress")
+	}
+	prog, err := workload.Build(bm, workload.NewPlanSingle(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, cfg := range bothMachines(TrapBranch) {
+		_, _, err := cfg.WithContext(ctx).RunDetailed(prog)
+		if !errors.Is(err, govern.ErrCanceled) {
+			t.Fatalf("%v: canceled run returned %v, want ErrCanceled", cfg.Machine, err)
+		}
+		snap, ok := govern.SnapshotIn(err)
+		if !ok {
+			t.Fatalf("%v: cancel abort carries no snapshot", cfg.Machine)
+		}
+		if snap.Partial.Instrs == 0 {
+			t.Fatalf("%v: nothing retired before the abort; the check is vacuous", cfg.Machine)
+		}
+		if snap.Partial.DynInsts != snap.Seq {
+			t.Errorf("%v: Partial.DynInsts %d, Seq %d", cfg.Machine, snap.Partial.DynInsts, snap.Seq)
+		}
+		if cfg.Machine == OutOfOrder {
+			if got := snap.Partial.Instrs + uint64(snap.ROBOccupied); snap.Seq != got {
+				t.Errorf("%v: Seq %d, want graduated %d + in ROB %d = %d",
+					cfg.Machine, snap.Seq, snap.Partial.Instrs, snap.ROBOccupied, got)
+			}
+		} else if snap.Seq < snap.Partial.Instrs || snap.Seq-snap.Partial.Instrs > 1 {
+			t.Errorf("%v: Seq %d, retired %d; want at most one instruction in flight",
+				cfg.Machine, snap.Seq, snap.Partial.Instrs)
 		}
 	}
 }

@@ -61,14 +61,6 @@ type Config struct {
 	// references, modelling context switches (§3.3).
 	FlushEvery uint64
 
-	// DisableBlockKernel turns off the block-compiled execution kernel
-	// (DESIGN.md §14): the functional front end steps one instruction per
-	// fetch instead of replaying basic blocks ahead of the core. Results
-	// are bit-identical either way (the golden grid and the differential
-	// fuzz suite pin this); the switch exists for A/B benchmarking and as
-	// a diagnostic lane.
-	DisableBlockKernel bool
-
 	// MaxInsts bounds the dynamic instruction count (0 =
 	// govern.DefaultBudget). Exhausting it returns an error wrapping
 	// govern.ErrBudget (and interp.ErrLimit).
@@ -297,29 +289,20 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		}
 	}
 
-	// The functional front end runs ahead of the core through the block
-	// feeder: whole basic blocks are executed into a buffer and consumed
-	// here one record at a time, preserving the per-instruction path's
-	// budget, error and halt ordering exactly (see interp.BlockFeeder).
-	fe := interp.NewBlockFeeder(m, limit, cfg.DisableBlockKernel)
-loop:
-	for {
-		rec, stf := fe.Peek()
-		switch stf {
-		case interp.FeedHalted:
-			break loop
-		case interp.FeedBudget:
+	var rec interp.Rec // reused across StepInto calls (Rec is copy-heavy)
+	for !m.Halted {
+		if m.Seq >= limit {
 			return out, m, abort(fmt.Errorf("inorder: %w: %w (%d instructions)",
 				govern.ErrBudget, interp.ErrLimit, limit))
-		case interp.FeedErr:
-			flushObs()
-			return out, m, fe.Err()
 		}
 		if err := gov.Tick(); err != nil {
 			return out, m, abort(fmt.Errorf("inorder: %w", err))
 		}
 		wasInHandler := inHandler
-		fe.Advance()
+		if err := m.StepInto(&rec); err != nil {
+			flushObs()
+			return out, m, err
+		}
 		in := rec.Inst
 		st := &statics[rec.SIdx]
 

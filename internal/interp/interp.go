@@ -85,14 +85,6 @@ type Rec struct {
 	// Control flow.
 	Taken bool // branch taken (conditional branches and BMISS)
 	Trap  bool // an informing miss trap fired after this memory op
-
-	// MHARArmed records whether the MHAR was non-zero after this
-	// instruction executed. The out-of-order core's fetch stage needs
-	// this to decide whether a non-trapping informing reference occupies
-	// branch shadow state; with block-replayed execution the machine runs
-	// ahead of the timing core, so the live m.MHAR no longer reflects the
-	// state at this instruction — the record carries it instead.
-	MHARArmed bool
 }
 
 // TraceEvent builds the per-instruction pipeline trace record from the
@@ -136,8 +128,8 @@ func (r *Rec) TraceEvent(disasm string, fetch, issue, complete, graduate int64) 
 var ErrPC = errors.New("interp: PC outside text segment")
 
 // ErrTextWrite is returned when a store's effective address lands inside
-// the text segment. The predecoded dispatch tables (isa.Static, the block
-// table) are built once from the program text and would silently disagree
+// the text segment. The predecoded dispatch table (isa.Static) is built
+// once from the program text and would silently disagree
 // with memory after such a store — fetch reads Prog.Text, data accesses
 // read DataMem — so self-modifying code is rejected as a typed error
 // instead of diverging (DESIGN.md §14). The faulting store has no
@@ -202,9 +194,8 @@ type Machine struct {
 	static   []isa.Static
 	text     []isa.Inst
 	textBase uint64
-	textSize uint64          // text-segment length in bytes (store-guard bound)
-	blocks   *isa.BlockTable // lazily-built basic-block memo (DESIGN.md §14)
-	disasm   []string        // lazily-built per-static-instruction disassembly
+	textSize uint64   // text-segment length in bytes (store-guard bound)
+	disasm   []string // lazily-built per-static-instruction disassembly
 }
 
 // New returns a Machine ready to run p from its text base, with memory
@@ -217,14 +208,12 @@ func New(p *isa.Program, mode Mode, probe Probe) *Machine {
 	return m
 }
 
-// predecode (re)builds the cached dispatch state from Prog. The block
-// memo is dropped too: it indexes the statics rebuilt here.
+// predecode (re)builds the cached dispatch state from Prog.
 func (m *Machine) predecode() {
 	m.text = m.Prog.Text
 	m.textBase = m.Prog.TextBase
 	m.textSize = uint64(len(m.text)) * isa.InstBytes
 	m.static = isa.PredecodeText(m.text)
-	m.blocks = nil
 }
 
 // Statics returns the per-static-instruction predecode table, building it
@@ -327,14 +316,6 @@ func (m *Machine) StepInto(rec *Rec) error {
 	if m.PC < m.textBase || off%isa.InstBytes != 0 || k >= len(m.text) {
 		return fmt.Errorf("%w: %#x", ErrPC, m.PC)
 	}
-	return m.exec(k, rec)
-}
-
-// exec executes the (pre-validated) static instruction at index k. It is
-// the single definition of the instruction semantics: StepInto reaches it
-// after per-instruction PC validation, StepBlockInto after one validation
-// per basic block.
-func (m *Machine) exec(k int, rec *Rec) error {
 	in := &m.text[k]
 	st := &m.static[k]
 	*rec = Rec{Seq: m.Seq, PC: m.PC, Inst: *in, SIdx: k}
@@ -431,9 +412,9 @@ func (m *Machine) exec(k int, rec *Rec) error {
 		ea := m.g(in.Rs1) + uint64(in.Imm)
 		isStore := st.Store()
 		if isStore && ea-m.textBase < m.textSize {
-			// Self-modifying-code seam (DESIGN.md §14): the predecode and
-			// block tables are built once from the program text, so a
-			// store into the text segment would leave them stale. Reject
+			// Self-modifying-code seam (DESIGN.md §14): the predecode
+			// table is built once from the program text, so a store
+			// into the text segment would leave it stale. Reject
 			// it before it takes any effect (no memory write, no cache
 			// tag update).
 			return fmt.Errorf("%w: pc %#x stores to %#x", ErrTextWrite, rec.PC, ea)
@@ -528,64 +509,7 @@ func (m *Machine) exec(k int, rec *Rec) error {
 	}
 	rec.NextPC = next
 	m.PC = next
-	rec.MHARArmed = m.MHAR != 0
 	return nil
-}
-
-// StepBlockInto executes instructions block-at-a-time (DESIGN.md §14),
-// writing one Rec per dynamic instruction into buf, and returns how many
-// it executed. It stops at the end of buf, when the machine halts, or on
-// the first error (the n records already written remain valid; the
-// failing instruction is not counted). Within a discovered block the PC
-// is validated once, so the per-instruction cost is the semantic switch
-// alone; informing-trap redirects simply end the current block's replay
-// and discovery continues at the handler. The record stream is
-// bit-identical to repeated StepInto calls — the differential fuzz suite
-// in internal/core pins this.
-func (m *Machine) StepBlockInto(buf []Rec) (int, error) {
-	if m.Halted {
-		return 0, errors.New("interp: step on halted machine")
-	}
-	if m.static == nil {
-		m.predecode()
-	}
-	if m.blocks == nil {
-		m.blocks = isa.NewBlockTable(m.text, m.static)
-	}
-	n := 0
-	for n < len(buf) && !m.Halted {
-		off := m.PC - m.textBase
-		k := int(off / isa.InstBytes)
-		if m.PC < m.textBase || off%isa.InstBytes != 0 || k >= len(m.text) {
-			return n, fmt.Errorf("%w: %#x", ErrPC, m.PC)
-		}
-		end := k + int(m.blocks.At(k).Len)
-		for ; k < end && n < len(buf); k++ {
-			rec := &buf[n]
-			if err := m.exec(k, rec); err != nil {
-				return n, err
-			}
-			n++
-			if rec.Trap {
-				// Informing redirect mid-block: fall back to discovery
-				// at the handler's PC.
-				break
-			}
-			if m.Halted {
-				return n, nil
-			}
-		}
-	}
-	return n, nil
-}
-
-// BlockCount reports how many basic blocks the machine has discovered so
-// far (introspection/testing; 0 before the first StepBlockInto).
-func (m *Machine) BlockCount() int {
-	if m.blocks == nil {
-		return 0
-	}
-	return m.blocks.Blocks()
 }
 
 // Run executes until Halt or until limit instructions have run (0 means
@@ -598,12 +522,9 @@ func (m *Machine) Run(limit uint64) error {
 // RunGoverned executes until Halt under gov's policy: the instruction
 // budget (govern.ErrBudget, wrapping ErrLimit for compatibility) and
 // context cancellation (govern.ErrCanceled). Abort errors carry a
-// govern.Snapshot of the architectural state.
-//
-// Execution goes through the block kernel (StepBlockInto): the governor
-// is still ticked once per instruction, so budget and cancellation
-// granularity are unchanged, but the per-instruction fetch/validate
-// overhead is paid once per basic block.
+// govern.Snapshot of the architectural state. The governor ticks once
+// before every instruction, so the snapshot's Seq counts exactly the
+// instructions that executed.
 func (m *Machine) RunGoverned(gov *govern.Governor) error {
 	limit := gov.Budget()
 	abort := func(cause error) error {
@@ -612,7 +533,7 @@ func (m *Machine) RunGoverned(gov *govern.Governor) error {
 			InHandler: m.InHandler, MHAR: m.MHAR, MHRR: m.MHRR,
 		})
 	}
-	var buf [blockFeedLen]Rec
+	var rec Rec
 	for !m.Halted {
 		if m.Seq >= limit {
 			return abort(fmt.Errorf("interp: %w: %w (%d)", govern.ErrBudget, ErrLimit, limit))
@@ -620,17 +541,7 @@ func (m *Machine) RunGoverned(gov *govern.Governor) error {
 		if err := gov.Tick(); err != nil {
 			return abort(fmt.Errorf("interp: %w", err))
 		}
-		max := uint64(len(buf))
-		if room := limit - m.Seq; room < max {
-			max = room
-		}
-		n, err := m.StepBlockInto(buf[:max])
-		for i := 1; i < n; i++ {
-			if terr := gov.Tick(); terr != nil {
-				return abort(fmt.Errorf("interp: %w", terr))
-			}
-		}
-		if err != nil {
+		if err := m.StepInto(&rec); err != nil {
 			return err
 		}
 	}

@@ -1,10 +1,12 @@
 package interp
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"informing/internal/asm"
+	"informing/internal/govern"
 	"informing/internal/isa"
 )
 
@@ -400,6 +402,36 @@ func TestRunLimit(t *testing.T) {
 	m := New(p, ModeOff, nil)
 	if err := m.Run(100); !errors.Is(err, ErrLimit) {
 		t.Errorf("expected ErrLimit, got %v", err)
+	}
+}
+
+// TestRunGovernedCancelSnapshot: the governor ticks before every
+// instruction, so a run canceled before it starts stops at the first
+// context poll (the CheckEvery-th tick) with exactly CheckEvery-1
+// instructions executed, and the snapshot reports that state.
+func TestRunGovernedCancelSnapshot(t *testing.T) {
+	p, err := asm.Assemble("loop: addi r1, r1, 1\nj loop\nhalt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := New(p, ModeOff, nil)
+	err = m.RunGoverned(govern.New(govern.Config{Ctx: ctx, CheckEvery: 8}))
+	if !errors.Is(err, govern.ErrCanceled) {
+		t.Fatalf("err = %v, want govern.ErrCanceled", err)
+	}
+	snap, ok := govern.SnapshotIn(err)
+	if !ok {
+		t.Fatal("abort error carries no snapshot")
+	}
+	if snap.Seq != 7 || m.Seq != 7 {
+		t.Errorf("snapshot Seq %d, machine Seq %d; want 7 (one instruction per tick before the failing poll)", snap.Seq, m.Seq)
+	}
+	// Seven instructions alternate addi, j from the loop head: the last
+	// executed is an addi, so the next PC is the jump.
+	if want := p.TextBase + isa.InstBytes; snap.PC != want || m.PC != want {
+		t.Errorf("snapshot PC %#x, machine PC %#x; want %#x", snap.PC, m.PC, want)
 	}
 }
 

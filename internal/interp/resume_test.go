@@ -1,21 +1,25 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"informing/internal/asm"
+	"informing/internal/govern"
 	"informing/internal/isa"
 )
 
-// Record-stream differential for the block kernel: StepBlockInto must
-// produce the byte-identical Rec sequence a StepInto loop produces, for
-// every informing mode and any buffer size, including the MHARArmed
-// snapshot the out-of-order core's shadow logic consumes.
+// Budget-slice differential: a machine driven through governed runs of a
+// few instructions at a time — each stopped by its budget, its snapshot
+// checked, then resumed — must produce the byte-identical Rec sequence
+// and final architectural state a plain StepInto loop produces, for
+// every informing mode and any slice length. Budget aborts stop exactly
+// at the budget, so nothing executes that the snapshot does not report.
 
 // diffProgram is a seeded random terminating program; informing loads and
-// a trap handler give ModeTrap runs real mid-block redirects.
+// a trap handler give ModeTrap runs real redirects.
 func diffProgram(seed int64) *isa.Program {
 	r := rand.New(rand.NewSource(seed))
 	b := asm.NewBuilder()
@@ -77,6 +81,10 @@ func fakeProbe() Probe {
 	}
 }
 
+// TestStepBlockIntoMatchesStepInto (named for the block stepper it once
+// compared against) alternates budget-limited Run slices of bs
+// instructions with single Step calls and checks every stop against the
+// reference StepInto stream.
 func TestStepBlockIntoMatchesStepInto(t *testing.T) {
 	modes := []Mode{ModeOff, ModeCondCode, ModeTrap}
 	bufSizes := []int{1, 3, 7, 64}
@@ -84,7 +92,7 @@ func TestStepBlockIntoMatchesStepInto(t *testing.T) {
 		for seed := int64(1); seed <= 8; seed++ {
 			prog := diffProgram(seed)
 
-			// Reference stream: the per-instruction path.
+			// Reference stream: a plain StepInto loop.
 			ref := New(prog, mode, fakeProbe())
 			var want []Rec
 			for !ref.Halted {
@@ -101,33 +109,52 @@ func TestStepBlockIntoMatchesStepInto(t *testing.T) {
 			for _, bs := range bufSizes {
 				t.Run(fmt.Sprintf("mode%d/seed%d/buf%d", mode, seed, bs), func(t *testing.T) {
 					m := New(prog, mode, fakeProbe())
-					buf := make([]Rec, bs)
-					var got int
+					var slices int
 					for !m.Halted {
-						n, err := m.StepBlockInto(buf)
+						limit := m.Seq + uint64(bs)
+						err := m.Run(limit)
+						if m.Halted {
+							if err != nil {
+								t.Fatalf("run ending in Halt returned %v", err)
+							}
+							break
+						}
+						if !errors.Is(err, govern.ErrBudget) || !errors.Is(err, ErrLimit) {
+							t.Fatalf("slice to %d: err = %v, want a budget abort", limit, err)
+						}
+						if m.Seq != limit || m.Seq >= uint64(len(want)) {
+							t.Fatalf("slice stopped at Seq %d, want %d (reference has %d records)", m.Seq, limit, len(want))
+						}
+						snap, ok := govern.SnapshotIn(err)
+						if !ok {
+							t.Fatal("budget abort carries no snapshot")
+						}
+						if snap.Seq != m.Seq || snap.PC != m.PC || snap.MHAR != m.MHAR ||
+							snap.MHRR != m.MHRR || snap.InHandler != m.InHandler {
+							t.Fatalf("snapshot %+v does not describe the machine (Seq %d, PC %#x)", snap, m.Seq, m.PC)
+						}
+						if m.PC != want[m.Seq].PC {
+							t.Fatalf("slice stopped at PC %#x, reference record %d is at %#x", m.PC, m.Seq, want[m.Seq].PC)
+						}
+						rec, err := m.Step()
 						if err != nil {
-							t.Fatalf("StepBlockInto: %v", err)
+							t.Fatalf("Step after resume: %v", err)
 						}
-						for i := 0; i < n; i++ {
-							if got >= len(want) {
-								t.Fatalf("block path produced more than the %d reference records", len(want))
-							}
-							if buf[i] != want[got] {
-								t.Fatalf("record %d diverged:\n block: %+v\n  ref: %+v", got, buf[i], want[got])
-							}
-							got++
+						if rec != want[limit] {
+							t.Fatalf("record %d diverged:\n resumed: %+v\n     ref: %+v", limit, rec, want[limit])
 						}
+						slices++
 					}
-					if got != len(want) {
-						t.Fatalf("block path produced %d records, reference %d", got, len(want))
+					if m.Seq != uint64(len(want)) {
+						t.Fatalf("sliced run executed %d instructions, reference %d", m.Seq, len(want))
 					}
-					if m.PC != ref.PC || m.Seq != ref.Seq || m.MHAR != ref.MHAR ||
+					if m.PC != ref.PC || m.MHAR != ref.MHAR ||
 						m.MHRR != ref.MHRR || m.MissCounter != ref.MissCounter ||
 						m.Traps != ref.Traps || m.Mem.Fingerprint() != ref.Mem.Fingerprint() {
 						t.Fatal("final architectural state diverged")
 					}
-					if m.BlockCount() == 0 {
-						t.Fatal("block table discovered no blocks — the kernel did not engage")
+					if slices == 0 {
+						t.Fatal("no slice stopped on its budget — the check is vacuous")
 					}
 				})
 			}

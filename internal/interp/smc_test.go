@@ -2,17 +2,18 @@ package interp
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"informing/internal/asm"
 	"informing/internal/isa"
 )
 
-// Self-modifying-code seam (DESIGN.md §14). The block table memoizes block
-// shapes discovered from the text segment, so a store that lands in text
-// would silently execute stale predecode/block state. The machine instead
-// rejects text-segment stores with the typed ErrTextWrite — on the
-// per-instruction path and the block path alike, at the same instruction.
+// Self-modifying-code seam (DESIGN.md §14). The predecode table is built
+// once from the text segment, so a store that lands in text would
+// silently execute stale predecode. The machine instead rejects
+// text-segment stores with the typed ErrTextWrite, before the store takes
+// any effect.
 
 // smcProgram stores R2 to [R1+off] where R1 = DefaultTextBase, after nPad
 // padding adds; returns the program and the dynamic index of the store.
@@ -29,43 +30,30 @@ func smcProgram(nPad int, off int64) (*isa.Program, uint64) {
 }
 
 func TestTextWriteRejected(t *testing.T) {
-	prog, storeAt := smcProgram(3, 0)
-	m := New(prog, ModeOff, nil)
-	var rec Rec
-	var err error
-	for !m.Halted {
-		if err = m.StepInto(&rec); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrTextWrite) {
-		t.Fatalf("step error = %v, want ErrTextWrite", err)
-	}
-	// Seq counts the faulting store as fetched (incremented before the
-	// semantic switch, as for any step error), so it reads storeAt+1.
-	if m.Seq != storeAt+1 {
-		t.Fatalf("error after %d instructions, want %d (instructions before the store must execute)", m.Seq, storeAt+1)
-	}
-	if m.Halted {
-		t.Fatal("machine halted despite the faulting store")
-	}
-}
-
-func TestTextWriteRejectedBlockKernel(t *testing.T) {
-	prog, storeAt := smcProgram(3, 8) // mid-text store, not just text[0]
-	m := New(prog, ModeOff, nil)
-	var buf [16]Rec
-	n, err := m.StepBlockInto(buf[:])
-	if !errors.Is(err, ErrTextWrite) {
-		t.Fatalf("block step error = %v, want ErrTextWrite", err)
-	}
-	if uint64(n) != storeAt {
-		t.Fatalf("block replay returned %d records, want %d (records before the fault stay valid)", n, storeAt)
-	}
-	for i := 0; i < n; i++ {
-		if buf[i].Seq != uint64(i) {
-			t.Fatalf("record %d has Seq %d; prefix before the fault is corrupt", i, buf[i].Seq)
-		}
+	for _, off := range []int64{0, 8} { // text[0] and a mid-text word
+		t.Run(fmt.Sprintf("offset%d", off), func(t *testing.T) {
+			prog, storeAt := smcProgram(3, off)
+			m := New(prog, ModeOff, nil)
+			var rec Rec
+			var err error
+			for !m.Halted {
+				if err = m.StepInto(&rec); err != nil {
+					break
+				}
+			}
+			if !errors.Is(err, ErrTextWrite) {
+				t.Fatalf("step error = %v, want ErrTextWrite", err)
+			}
+			// Seq counts the faulting store as fetched (incremented
+			// before the semantic switch, as for any step error), so it
+			// reads storeAt+1.
+			if m.Seq != storeAt+1 {
+				t.Fatalf("error after %d instructions, want %d (instructions before the store must execute)", m.Seq, storeAt+1)
+			}
+			if m.Halted {
+				t.Fatal("machine halted despite the faulting store")
+			}
+		})
 	}
 }
 

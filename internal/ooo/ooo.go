@@ -98,19 +98,11 @@ type Config struct {
 	// informing load per N committed memory references, exercising the
 	// §3.3 invalidation path (the scheduler itself never runs wrong-path
 	// instructions; see DESIGN.md §6). The injected load targets the
-	// reference's address plus SpecInjectStride. Injection interleaves
-	// core-driven probe traffic with the functional machine's own, so it
-	// forces the per-instruction front end (no block execute-ahead).
+	// reference's address plus SpecInjectStride. The injected probe
+	// lands in the hierarchy between the fetched reference and the next
+	// instruction the functional machine steps.
 	SpecInjectEvery  int
 	SpecInjectStride uint64
-
-	// DisableBlockKernel turns off the block-compiled execution kernel
-	// (DESIGN.md §14): the functional front end steps one instruction per
-	// fetch instead of replaying basic blocks ahead of the core. Results
-	// are bit-identical either way (the golden grid and the differential
-	// fuzz suite pin this); the switch exists for A/B benchmarking and as
-	// a diagnostic lane.
-	DisableBlockKernel bool
 
 	// MaxInsts bounds the dynamic instruction count (0 =
 	// govern.DefaultBudget). Exhausting it returns an error wrapping
@@ -402,11 +394,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		return govern.WithSnapshot(cause, snap)
 	}
 
-	// The functional front end runs ahead of the core through the block
-	// feeder (see interp.BlockFeeder). Speculative injection interleaves
-	// core-driven probe traffic with execution, so it forces the
-	// per-instruction fill path, as does the explicit kernel switch.
-	fe := interp.NewBlockFeeder(m, limit, cfg.DisableBlockKernel || cfg.SpecInjectEvery > 0)
+	var rec interp.Rec // reused across StepInto calls (Rec is copy-heavy)
 
 	ready := func(p producer) bool {
 		if !p.set {
@@ -596,11 +584,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		if cycle >= fetchBlocked && stallResolved() {
 			stallKind = stallNone
 			fetched := 0
-			for fetched < cfg.IssueWidth && count < cfg.ROBSize {
-				rec, stf := fe.Peek()
-				if stf == interp.FeedHalted {
-					break
-				}
+			for fetched < cfg.IssueWidth && count < cfg.ROBSize && !m.Halted {
 				// Shadow-state limit gates fetch past unresolved
 				// speculation. shadowLive is maintained incrementally:
 				// the cycle does not advance mid-stage, so no shadow can
@@ -609,16 +593,15 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				if shadowLive >= cfg.ShadowStates {
 					break
 				}
-				if stf == interp.FeedBudget {
+				if m.Seq >= limit {
 					return out, m, abort(fmt.Errorf("ooo: %w: %w (%d instructions)",
 						govern.ErrBudget, interp.ErrLimit, limit))
 				}
-				if stf == interp.FeedErr {
-					flushObs()
-					return out, m, fe.Err()
-				}
 				wasInHandler := inHandler
-				fe.Advance()
+				if err := m.StepInto(&rec); err != nil {
+					flushObs()
+					return out, m, err
+				}
 				op := rec.Inst.Op
 				fetchAt := cycle
 				if icache != nil {
@@ -638,7 +621,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				st := &statics[rec.SIdx]
 				idx := tail
 				e := &rob[idx]
-				e.rec = *rec
+				e.rec = rec
 				e.st = st
 				e.fu = st.FU
 				e.fetchC = fetchAt
@@ -746,13 +729,11 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 						stallKind, stallIdx, stallSeq = stallGrad, idx, rec.Seq
 					}
 				case st.InformingMem() && cfg.Mode == interp.ModeTrap && cfg.Trap == TrapAsBranch &&
-					op != isa.Prefetch && rec.MHARArmed:
+					op != isa.Prefetch && m.MHAR != 0:
 					// A non-trapping informing reference still occupies
 					// shadow state until its tag check resolves.
 					// (SfInforming is only ever set on memory operations,
-					// so the explicit IsMem conjunct is subsumed. The
-					// record's MHARArmed snapshot replaces a live m.MHAR
-					// read: the machine may have run ahead of the core.)
+					// so the explicit IsMem conjunct is subsumed.)
 					e.shadow = true
 				}
 				if e.shadow {
@@ -784,7 +765,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		}
 
 		// ---- termination / progress guard ------------------------------
-		if count == 0 && fe.Drained() {
+		if count == 0 && m.Halted {
 			break
 		}
 		if gradN > 0 || issuedN > 0 {
