@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-serve fuzz fuzz-diff verify clean bench bench-gate bench-smoke bench-informbench-smoke obs-smoke serve-smoke chaos-smoke cluster-smoke trace-smoke policy-smoke
+.PHONY: build test test-short race race-serve fuzz fuzz-diff verify clean bench bench-gate bench-smoke bench-informbench-smoke obs-smoke serve-smoke chaos-smoke cluster-smoke trace-smoke policy-smoke paper-gen paper-tables paper-check
 
 build:
 	$(GO) build ./...
@@ -158,11 +158,32 @@ policy-smoke:
 	$(GO) test -run 'TestPolicyGolden|TestPolicyArchitecturalNeutrality' ./internal/core/
 	$(GO) test -run 'TestExplain' ./internal/serve/
 
+# paper-tables regenerates docs_experiments_raw.txt, the paper's tables
+# as the harnesses print them: `handlerbench -experiment all -raw` (every
+# table plus exact cycles=/instrs=/refs=/traps= and slot counts for every
+# cell, all 14 benchmarks on both machines) followed by `coherencebench
+# -sweep -detail` (Figure 4, its per-scheme cycle breakdowns and the
+# §4.3.2 sweep). paper-check regenerates the same output at default -j
+# into a temp file and requires it byte-identical to the committed one,
+# so a change that shifts one cycle in any cell the paper reports shows
+# up as a table diff.
+paper-gen:
+	$(GO) build -o /tmp/handlerbench ./cmd/handlerbench
+	$(GO) build -o /tmp/coherencebench ./cmd/coherencebench
+	/tmp/handlerbench -experiment all -raw > /tmp/paper_tables.txt
+	/tmp/coherencebench -sweep -detail >> /tmp/paper_tables.txt
+
+paper-tables: paper-gen
+	cp /tmp/paper_tables.txt docs_experiments_raw.txt
+
+paper-check: paper-gen
+	cmp /tmp/paper_tables.txt docs_experiments_raw.txt
+
 # verify is the full CI gate: build, gofmt, vet, race-enabled tests, fuzz
-# seeds. The short passes over the timing cores' hot-path benchmarks, the
-# trace parser's and the replay sweep's keep the benchmarks behind
-# EXPERIMENTS.md "Hot-path benchmarks", "Ingest speed" and "Replay sweep
-# speed" running.
+# seeds, the paper tables. The short passes over the timing cores'
+# hot-path benchmarks, the trace parser's and the replay sweep's keep the
+# benchmarks behind EXPERIMENTS.md "Hot-path benchmarks", "Ingest speed"
+# and "Replay sweep speed" running.
 verify: build
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -177,6 +198,7 @@ verify: build
 	$(MAKE) obs-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) policy-smoke
+	$(MAKE) paper-check
 
 clean:
 	$(GO) clean ./...
