@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"informing/internal/faults"
-	"informing/internal/govern"
 	"informing/internal/inorder"
 	"informing/internal/interp"
 	"informing/internal/isa"
@@ -129,10 +128,11 @@ func (c *Config) apply() {
 	}
 }
 
-// WithMaxInsts bounds the dynamic instruction count of Run.
+// WithMaxInsts bounds the dynamic instruction count of Run: it sets the
+// governor's budget (Govern.MaxInsts) on whichever machine runs.
 func (c Config) WithMaxInsts(n uint64) Config {
-	c.OOO.MaxInsts = n
-	c.IO.MaxInsts = n
+	c.OOO.Govern.MaxInsts = n
+	c.IO.Govern.MaxInsts = n
 	return c
 }
 
@@ -150,14 +150,6 @@ func (c Config) WithTrace(fn func(stats.TraceEvent)) Config {
 func (c Config) WithContext(ctx context.Context) Config {
 	c.OOO.Govern.Ctx = ctx
 	c.IO.Govern.Ctx = ctx
-	return c
-}
-
-// WithGovernor installs a full run-governor policy (context, watchdog,
-// budget) on whichever machine runs.
-func (c Config) WithGovernor(gc govern.Config) Config {
-	c.OOO.Govern = gc
-	c.IO.Govern = gc
 	return c
 }
 

@@ -147,6 +147,61 @@ func TestTraceEmissionParity(t *testing.T) {
 	}
 }
 
+// TestCrossCoreCounterParity: given the same data hierarchy and
+// instruction cache, the two machines see the same dynamic instruction
+// stream, so every count the shared harness (internal/pipe) keeps —
+// references and miss levels, I-cache misses, traps and handler
+// episodes, branch lookups, the miss taxonomy — must agree between the
+// out-of-order and in-order cores, with metrics on or off. Only the
+// schedulers' timing may differ.
+func TestCrossCoreCounterParity(t *testing.T) {
+	plans := map[Scheme]func() workload.Plan{
+		Off:           func() workload.Plan { return workload.NewPlanNone() },
+		CondCode:      func() workload.Plan { return workload.NewPlanCondCode(1) },
+		TrapBranch:    func() workload.Plan { return workload.NewPlanSingle(1) },
+		TrapException: func() workload.Plan { return workload.NewPlanSingle(1) },
+	}
+	type counts struct {
+		MemRefs, L1Misses, L2Misses, IMisses, Traps, HandlerInsts uint64
+		BmissTaken, BranchLookups, DynInsts                       uint64
+		L1Tax, L2Tax                                              stats.MissClasses
+		SimTraps, OccCount                                        uint64
+		OccSum                                                    int64
+	}
+	for _, bench := range []string{"compress", "espresso", "tomcatv"} {
+		for _, scheme := range []Scheme{Off, CondCode, TrapBranch, TrapException} {
+			t.Run(bench+"/"+scheme.String(), func(t *testing.T) {
+				bm, ok := workload.ByName(bench)
+				if !ok {
+					t.Fatalf("unknown benchmark %s", bench)
+				}
+				prog, err := workload.Build(bm, plans[scheme](), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got [2]counts
+				for i, cfg := range bothMachines(scheme) {
+					cfg.IO.Hier, cfg.IO.ICache = cfg.OOO.Hier, cfg.OOO.ICache
+					sim := obs.NewSim()
+					r, err := cfg.WithMaxInsts(100_000_000).WithObs(sim).Run(prog)
+					if err != nil {
+						t.Fatalf("%v: %v", cfg.Machine, err)
+					}
+					got[i] = counts{r.MemRefs, r.L1Misses, r.L2Misses, r.IMisses, r.Traps, r.HandlerInsts,
+						r.BmissTaken, r.BranchLookups, r.DynInsts, r.L1Tax, r.L2Tax,
+						sim.Traps.Load(), sim.HandlerOcc.Count(), sim.HandlerOcc.Sum()}
+				}
+				if got[0] != got[1] {
+					t.Errorf("counters diverged:\n ooo: %+v\n  io: %+v", got[0], got[1])
+				}
+				if scheme != Off && got[0].Traps+got[0].BmissTaken == 0 {
+					t.Error("cell exercised no informing events; the check is vacuous")
+				}
+			})
+		}
+	}
+}
+
 // TestTraceSamplingIsEveryNth: the source-sampled stream is exactly every
 // n-th element of the full stream, on both machines — sampling selects, it
 // never reorders or rewrites.

@@ -78,7 +78,9 @@ func TestLivelockDetected(t *testing.T) {
 
 // TestBudgetErrorsAreTyped: exhausting the instruction budget must report
 // both the new govern.ErrBudget and the legacy interp.ErrLimit sentinel,
-// on both machines, with partial statistics attached.
+// on both machines, with partial statistics attached. It is the one
+// budget test for both cores: the budget lives in Govern.MaxInsts and is
+// enforced by the shared harness (internal/pipe).
 func TestBudgetErrorsAreTyped(t *testing.T) {
 	prog := buildSpin()
 	for _, machine := range []func(Scheme) Config{R10000, Alpha21164} {

@@ -17,7 +17,7 @@ func runSrc(t *testing.T, src string, mode interp.Mode) stats.Run {
 	}
 	cfg := DefaultConfig()
 	cfg.Mode = mode
-	cfg.MaxInsts = 10_000_000
+	cfg.Govern.MaxInsts = 10_000_000
 	r, err := Run(p, cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -96,7 +96,7 @@ func TestDependentMissChainSerialises(t *testing.T) {
 	b.Halt()
 	p := b.MustFinish()
 	cfg := DefaultConfig()
-	cfg.MaxInsts = 1_000_000
+	cfg.Govern.MaxInsts = 1_000_000
 	r, err := Run(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -230,18 +230,6 @@ func TestDeterministicTiming(t *testing.T) {
 	b := runSrc(t, sweep(true), interp.ModeTrap)
 	if a != b {
 		t.Error("in-order model is nondeterministic")
-	}
-}
-
-func TestInstructionLimit(t *testing.T) {
-	p, err := asm.Assemble("loop: j loop\nhalt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.MaxInsts = 1000
-	if _, err := Run(p, cfg); err == nil {
-		t.Error("runaway program did not hit the instruction limit")
 	}
 }
 

@@ -21,12 +21,11 @@ import (
 	"fmt"
 
 	"informing/internal/bpred"
-	"informing/internal/faults"
 	"informing/internal/govern"
 	"informing/internal/interp"
 	"informing/internal/isa"
 	"informing/internal/mem"
-	"informing/internal/obs"
+	"informing/internal/pipe"
 	"informing/internal/stats"
 )
 
@@ -45,12 +44,13 @@ func (t TrapMode) String() string {
 	return "branch"
 }
 
-// Config parameterises the machine. DefaultConfig returns the paper's
-// Table 1 out-of-order column.
+// Config parameterises the machine: the fields both cores share, plus the
+// out-of-order ones. DefaultConfig returns the paper's Table 1
+// out-of-order column.
 type Config struct {
-	IssueWidth int // per-cycle issue cap (also fetch and graduation width)
-	Units      [isa.NumFUClasses]int
-	ROBSize    int
+	pipe.Config // IssueWidth is also the fetch and graduation width
+
+	ROBSize int
 
 	// ShadowStates bounds the number of unresolved predicted branches in
 	// flight (the R10000 allows 4). In TrapAsBranch mode informing
@@ -60,35 +60,10 @@ type Config struct {
 	// the ablation bench).
 	ShadowStates int
 
-	FrontDepth      int64 // fetch-to-issue minimum (rename/dispatch depth)
-	TakenBubble     int64 // bubble after a correctly-predicted taken branch
 	MispredictExtra int64 // extra refetch delay after a branch resolves wrong
 	FlushPenalty    int64 // pipeline refill after an exception-style flush
 
-	Lat    isa.LatencyTable
-	Hier   mem.HierConfig
-	Timing mem.TimingConfig
-
-	// ICache models the primary instruction cache (Table 1); a zero
-	// SizeBytes disables it. Misses stall the fetcher for the L2
-	// latency.
-	ICache mem.CacheConfig
-
-	BPredEntries int
-	Mode         interp.Mode
-	Trap         TrapMode
-
-	// TrapThreshold selects which misses trap (interp.LevelL1 = any
-	// primary miss, the default; interp.LevelL2 = secondary misses only,
-	// the §4.1.3 refinement).
-	TrapThreshold int
-
-	// FlushEvery, when non-zero, flushes the L1 data cache every N
-	// memory references, modelling context switches: the paper's §3.3
-	// point that cache state — and therefore trap counts — is not a
-	// deterministic function of the program, while architectural results
-	// are unaffected.
-	FlushEvery uint64
+	Trap TrapMode
 
 	// ExtendMSHRLifetime enables the §3.3 mechanism: MSHRs persist until
 	// the owning memory operation graduates or is squashed.
@@ -103,39 +78,6 @@ type Config struct {
 	// instruction the functional machine steps.
 	SpecInjectEvery  int
 	SpecInjectStride uint64
-
-	// MaxInsts bounds the dynamic instruction count (0 =
-	// govern.DefaultBudget). Exhausting it returns an error wrapping
-	// govern.ErrBudget (and interp.ErrLimit).
-	MaxInsts uint64
-
-	// Govern supplies the run-governor policy: context cancellation, a
-	// livelock watchdog, and (when its MaxInsts is set) the instruction
-	// budget. The zero value uses the govern package defaults; a zero
-	// Govern.MaxInsts falls back to Config.MaxInsts.
-	Govern govern.Config
-
-	// Faults, when non-nil, perturbs the run (see internal/faults):
-	// architectural outcome flips apply on the probe path, latency
-	// jitter at the memory-request site.
-	Faults *faults.Injector
-
-	// Trace, when non-nil, receives one TraceEvent per instruction in
-	// graduation order (debugging/visualisation; adds overhead).
-	Trace func(stats.TraceEvent)
-
-	// TraceEvery samples the trace at the source: one TraceEvent per N
-	// graduated instructions (0 or 1 = every instruction). Source-side
-	// sampling skips event construction entirely — including the
-	// disassembly string — so a 1-in-64 sampled trace costs a counter
-	// decrement per instruction, not an allocation (DESIGN.md §11).
-	TraceEvery uint64
-
-	// Obs, when non-nil, receives live metrics (instruction/cycle/trap
-	// counters, miss- and trap-latency histograms, handler occupancy,
-	// per-opcode issue stalls; see obs.Sim). A nil Obs costs only
-	// nil-checks: the disabled hot path stays allocation-free.
-	Obs *obs.Sim
 }
 
 // DefaultConfig returns the Table 1 out-of-order machine: 4-wide, 32-entry
@@ -143,30 +85,32 @@ type Config struct {
 // 2 MB 2-way L2, 12-cycle L2 latency, 75-cycle memory latency.
 func DefaultConfig() Config {
 	return Config{
-		IssueWidth:      4,
-		Units:           [isa.NumFUClasses]int{isa.FUInt: 2, isa.FUFP: 2, isa.FUBranch: 1, isa.FUMem: 1},
+		Config: pipe.Config{
+			IssueWidth:  4,
+			Units:       [isa.NumFUClasses]int{isa.FUInt: 2, isa.FUFP: 2, isa.FUBranch: 1, isa.FUMem: 1},
+			FrontDepth:  3,
+			TakenBubble: 1,
+			Lat: isa.LatencyTable{
+				IntMul: 12, IntDiv: 76, FPDiv: 15, FPSqrt: 20, FPOther: 2,
+				IntALU: 1, Branch: 1,
+			},
+			Hier: mem.HierConfig{
+				L1: mem.CacheConfig{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 2},
+				L2: mem.CacheConfig{SizeBytes: 2 << 20, LineBytes: 32, Assoc: 2},
+			},
+			ICache: mem.CacheConfig{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 2},
+			Timing: mem.TimingConfig{
+				L1HitLat: 2, L2Lat: 12, MemLat: 75,
+				MSHRs: 8, Banks: 2, FillTime: 4, MemInterval: 20, LineBytes: 32,
+			},
+			BPredEntries: bpred.DefaultEntries,
+			Mode:         interp.ModeOff,
+		},
 		ROBSize:         32,
 		ShadowStates:    12,
-		FrontDepth:      3,
-		TakenBubble:     1,
 		MispredictExtra: 1,
 		FlushPenalty:    2,
-		Lat: isa.LatencyTable{
-			IntMul: 12, IntDiv: 76, FPDiv: 15, FPSqrt: 20, FPOther: 2,
-			IntALU: 1, Branch: 1,
-		},
-		Hier: mem.HierConfig{
-			L1: mem.CacheConfig{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 2},
-			L2: mem.CacheConfig{SizeBytes: 2 << 20, LineBytes: 32, Assoc: 2},
-		},
-		ICache: mem.CacheConfig{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 2},
-		Timing: mem.TimingConfig{
-			L1HitLat: 2, L2Lat: 12, MemLat: 75,
-			MSHRs: 8, Banks: 2, FillTime: 4, MemInterval: 20, LineBytes: 32,
-		},
-		BPredEntries: bpred.DefaultEntries,
-		Mode:         interp.ModeOff,
-		Trap:         TrapAsBranch,
+		Trap:            TrapAsBranch,
 	}
 }
 
@@ -208,12 +152,6 @@ const (
 	stallGrad                // resume after entry graduates (+FlushPenalty)
 )
 
-// obsFlushEvery is the cadence (in cycles, power of two) at which batched
-// observability counters are pushed to the shared atomic registry. Every
-// exit path flushes too, so totals are exact; between flushes live readers
-// lag by at most this many cycles of work.
-const obsFlushEvery = 4096
-
 // Run simulates prog to completion and returns the measured statistics.
 func Run(prog *isa.Program, cfg Config) (stats.Run, error) {
 	r, _, err := RunDetailed(prog, cfg)
@@ -224,56 +162,13 @@ func Run(prog *isa.Program, cfg Config) (stats.Run, error) {
 // callers access to the final architectural state (registers, data memory,
 // MHAR/MHRR) — used by the examples and by differential tests.
 func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, error) {
-	hier, err := mem.NewHierarchy(cfg.Hier)
+	h, err := pipe.New("ooo", prog, &cfg.Config)
 	if err != nil {
-		return stats.Run{}, nil, fmt.Errorf("ooo: %w", err)
+		return stats.Run{}, nil, err
 	}
-	hier.Obs = cfg.Obs
-	var icache *mem.Cache
-	if cfg.ICache.SizeBytes > 0 {
-		if icache, err = mem.NewCache(cfg.ICache); err != nil {
-			return stats.Run{}, nil, fmt.Errorf("ooo: icache: %w", err)
-		}
-	}
-	lastILine := ^uint64(0)
-	probe := hier.ProbeData
-	if cfg.FlushEvery > 0 {
-		var refs uint64
-		probe = func(addr uint64, write bool) int {
-			refs++
-			if refs%cfg.FlushEvery == 0 {
-				hier.L1.Flush()
-			}
-			return hier.ProbeData(addr, write)
-		}
-	}
-	m := interp.New(prog, cfg.Mode, probe)
-	statics := m.Statics()
-	m.TrapThreshold = cfg.TrapThreshold
-	if cfg.Faults != nil {
-		m.Faults = cfg.Faults
-		cfg.Faults.SetLineBytes(uint64(cfg.Hier.L1.LineBytes))
-	}
-	timing, err := mem.NewTiming(cfg.Timing)
-	if err != nil {
-		return stats.Run{}, nil, fmt.Errorf("ooo: %w", err)
-	}
+	m, statics, hier, timing, bp, gov := h.M, h.Statics, h.Hier, h.Timing, h.BP, h.Gov
+	out, sim := &h.Out, h.Sim
 	timing.ExtendLifetime = cfg.ExtendMSHRLifetime
-	bp := bpred.New(cfg.BPredEntries)
-
-	gc := cfg.Govern
-	if gc.MaxInsts == 0 {
-		gc.MaxInsts = cfg.MaxInsts
-	}
-	gov := govern.New(gc)
-
-	// Per-opcode execution latencies, resolved once so the issue stage
-	// indexes a flat table instead of re-deriving the latency per dynamic
-	// instruction.
-	var lat [isa.NumOps]int64
-	for op := 0; op < isa.NumOps; op++ {
-		lat[op] = int64(cfg.Lat.Latency(isa.Op(op)))
-	}
 
 	// Shadow-state occupancy is maintained incrementally instead of
 	// rescanning the reorder buffer every fetch stage. A shadow entry is
@@ -285,7 +180,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 	// graduation (res ≤ compC < gradC), so reorder-buffer slot reuse can
 	// never double-count: every decrement lands before its entry leaves.
 	maxRes := int64(cfg.Timing.L1HitLat)
-	for _, l := range lat {
+	for _, l := range h.Lat {
 		if l > maxRes {
 			maxRes = l
 		}
@@ -330,71 +225,20 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		stallIdx     int
 		stallSeq     uint64
 
-		out       stats.Run
-		inHandler bool
-		memSeen   int // committed memory refs, for SpecInjectEvery
-
-		handlerLen int64 // instructions in the current handler episode
+		memSeen int // committed memory refs, for SpecInjectEvery
 	)
-	out.IssueWidth = cfg.IssueWidth
 
-	limit := gov.Budget()
-
-	sim := cfg.Obs
-	traceEvery := cfg.TraceEvery
-	if traceEvery == 0 {
-		traceEvery = 1
-	}
-	traceLeft := traceEvery
-	var disasms []string // per-static disassembly, built only when tracing
-	if cfg.Trace != nil {
-		disasms = m.Disasms()
-	}
-
-	// Instruction and cycle counts accumulate in plain locals and reach
-	// the shared atomic cells in batches (obsFlushEvery cycles, plus every
-	// exit path), bounding the enabled-metrics cost to well under the
-	// DESIGN.md §11 budget while live readers stay at most a few thousand
-	// cycles behind.
-	var obsInstrs, obsCycles uint64
-	var obsStalls [isa.NumOps]uint64
-	flushObs := func() {
-		if sim == nil {
-			return
-		}
-		sim.Instrs.Add(obsInstrs)
-		sim.Cycles.Add(obsCycles)
-		obsInstrs, obsCycles = 0, 0
-		for op, n := range obsStalls {
-			if n != 0 {
-				sim.IssueStalls[op].Add(n)
-				obsStalls[op] = 0
-			}
-		}
-		hier.FlushObs()
-	}
-
-	// abort wraps cause with a diagnostic snapshot of where the machine
-	// was: the architectural PC, the cycle, reorder-buffer occupancy, the
-	// oldest un-graduated instruction, and the statistics so far.
+	// abort adds the pipeline detail to the harness snapshot: the cycle,
+	// reorder-buffer occupancy and the oldest un-graduated instruction.
 	abort := func(cause error) error {
-		flushObs()
-		snap := govern.Snapshot{
-			PC: m.PC, Cycle: cycle, Seq: m.Seq,
-			ROBOccupied: count,
-			InHandler:   m.InHandler, MHAR: m.MHAR, MHRR: m.MHRR,
-			Note: fmt.Sprintf("l1-misses=%d mshr-peak=%d", hier.L1Misses, timing.PeakInUse),
-		}
+		snap := govern.Snapshot{Cycle: cycle, ROBOccupied: count}
 		if count > 0 {
 			snap.OldestInst = rob[head].rec.Inst.String()
 		}
-		snap.Partial = out
-		snap.Partial.Cycles = cycle
-		snap.Partial.DynInsts = m.Seq
-		return govern.WithSnapshot(cause, snap)
+		return h.Abort(cause, snap)
 	}
 
-	var rec interp.Rec // reused across StepInto calls (Rec is copy-heavy)
+	var rec interp.Rec // reused across Step calls (Rec is copy-heavy)
 
 	ready := func(p producer) bool {
 		if !p.set {
@@ -453,22 +297,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			}
 			e.grad = true
 			e.gradC = cycle
-			if cfg.Trace != nil {
-				// Unified emission point (see interp.Rec.TraceEvent):
-				// events are built at graduation, sampled at the source.
-				if traceLeft--; traceLeft == 0 {
-					traceLeft = traceEvery
-					cfg.Trace(e.rec.TraceEvent(disasms[e.rec.SIdx], e.fetchC, e.issueC, e.compC, e.gradC))
-				}
-			}
-			if sim != nil {
-				if e.isMiss && e.st.Load() {
-					sim.MissLatency.Observe(e.compC - e.issueC)
-				}
-				if e.rec.Trap {
-					sim.TrapLatency.Observe(e.gradC - e.issueC)
-				}
-			}
+			h.Retire(&e.rec, e.fetchC, e.issueC, e.compC, e.gradC)
 			// isMiss is only ever set on memory operations, so the
 			// explicit IsMem() conjunct is redundant.
 			if cfg.ExtendMSHRLifetime && e.isMiss {
@@ -479,7 +308,6 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			}
 			count--
 			gradN++
-			out.Instrs++
 		}
 		if gradN < cfg.IssueWidth && count > 0 {
 			e := &rob[head]
@@ -487,8 +315,6 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				out.CacheSlots += int64(cfg.IssueWidth - gradN)
 			}
 		}
-		obsInstrs += uint64(gradN)
-
 		// ---- issue ----------------------------------------------------
 		// Candidates come from the unissued list (age order from the
 		// reorder-buffer head); issued entries are never revisited.
@@ -505,7 +331,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			if fuUsed[e.fu] >= cfg.Units[e.fu] {
 				if sim != nil && !stallCharged {
 					stallCharged = true
-					obsStalls[e.rec.Inst.Op]++
+					h.Stalls[e.rec.Inst.Op]++
 				}
 				at = next
 				continue
@@ -528,7 +354,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			if !ok {
 				if sim != nil && !stallCharged {
 					stallCharged = true
-					obsStalls[e.rec.Inst.Op]++
+					h.Stalls[e.rec.Inst.Op]++
 				}
 				at = next
 				continue
@@ -544,7 +370,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 					issuedN++
 					if sim != nil && !stallCharged {
 						stallCharged = true
-						obsStalls[e.rec.Inst.Op]++
+						h.Stalls[e.rec.Inst.Op]++
 					}
 					at = next
 					continue
@@ -556,7 +382,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 					e.compC = e.tagC
 				}
 			} else {
-				e.compC = cycle + lat[e.rec.Inst.Op]
+				e.compC = cycle + h.Lat[e.rec.Inst.Op]
 				e.tagC = e.compC
 			}
 			e.issueC = cycle
@@ -593,30 +419,19 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				if shadowLive >= cfg.ShadowStates {
 					break
 				}
-				if m.Seq >= limit {
-					return out, m, abort(fmt.Errorf("ooo: %w: %w (%d instructions)",
-						govern.ErrBudget, interp.ErrLimit, limit))
+				if m.Seq >= h.Limit {
+					return *out, m, abort(h.BudgetErr())
 				}
-				wasInHandler := inHandler
-				if err := m.StepInto(&rec); err != nil {
-					flushObs()
-					return out, m, err
+				iMiss, err := h.Step(&rec)
+				if err != nil {
+					h.FlushObs(cycle)
+					return *out, m, err
 				}
 				op := rec.Inst.Op
 				fetchAt := cycle
-				if icache != nil {
-					if line := icache.Line(rec.PC); line != lastILine {
-						// Sequential next-line prefetching hides
-						// in-line misses; only control transfers to
-						// cold lines stall the fetcher.
-						sequential := line == lastILine+uint64(cfg.ICache.LineBytes)
-						lastILine = line
-						if hit, _, _ := icache.Access(rec.PC, false); !hit && !sequential {
-							out.IMisses++
-							fetchAt = cycle + int64(cfg.Timing.L2Lat)
-							fetchBlocked = fetchAt
-						}
-					}
+				if iMiss {
+					fetchAt = cycle + int64(cfg.Timing.L2Lat)
+					fetchBlocked = fetchAt
 				}
 				st := &statics[rec.SIdx]
 				idx := tail
@@ -652,40 +467,12 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 					if op != isa.Prefetch {
 						ccProd = producer{idx: idx, seq: rec.Seq, set: true}
 					}
-					out.MemRefs++
-					if rec.Level > interp.LevelL1 {
-						out.L1Misses++
-					}
-					if rec.Level > interp.LevelL2 {
-						out.L2Misses++
-					}
 				}
 				if tail++; tail == cfg.ROBSize {
 					tail = 0
 				}
 				count++
 				fetched++
-
-				if rec.Trap {
-					out.Traps++
-					inHandler = true
-					if sim != nil {
-						sim.Traps.Inc()
-						handlerLen = 0
-					}
-				}
-				if wasInHandler {
-					out.HandlerInsts++
-					if sim != nil {
-						handlerLen++
-						if op == isa.Rfmh {
-							sim.HandlerOcc.Observe(handlerLen)
-						}
-					}
-					if op == isa.Rfmh {
-						inHandler = false
-					}
-				}
 
 				// Control-flow consequences for the fetcher. Redirect
 				// blocks extend (never shorten) an existing block such
@@ -772,10 +559,10 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			gov.Progress(cycle)
 		}
 		if err := gov.CheckProgress(cycle); err != nil {
-			return out, m, abort(fmt.Errorf("ooo: %w", err))
+			return *out, m, abort(fmt.Errorf("ooo: %w", err))
 		}
 		if err := gov.Tick(); err != nil {
-			return out, m, abort(fmt.Errorf("ooo: %w", err))
+			return *out, m, abort(fmt.Errorf("ooo: %w", err))
 		}
 		cycle++
 		// Shadows whose resolve time is this new cycle stop occupying
@@ -784,33 +571,9 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			shadowLive -= int(w)
 			shadowWheel[cycle&wheelMask] = 0
 		}
-		obsCycles++
-		if sim != nil && cycle&(obsFlushEvery-1) == 0 {
-			flushObs()
+		if sim != nil && cycle&(pipe.ObsFlushEvery-1) == 0 {
+			h.FlushObs(cycle)
 		}
 	}
-
-	flushObs()
-	out.Cycles = cycle
-	if out.Cycles < 1 {
-		out.Cycles = 1
-	}
-	out.DynInsts = m.Seq
-	out.OtherSlots = out.TotalSlots() - out.BusySlots() - out.CacheSlots
-	if out.OtherSlots < 0 {
-		out.OtherSlots = 0
-	}
-	out.BranchLookups = bp.Lookups
-	out.BranchMispredicts = bp.Mispredict
-	out.MSHRFullStalls = timing.MSHRFullStalls
-	out.MSHRMerges = timing.Merges
-	out.MSHRPeak = timing.PeakInUse
-	// Per-class miss taxonomy, classified at fill time inside the
-	// hierarchy. With SpecInjectEvery off the hierarchy sees exactly the
-	// architectural reference stream, so the classes sum to
-	// out.L1Misses/out.L2Misses (stats.Run.CheckTaxonomy); injected §3.3
-	// probes additionally classify their own misses.
-	out.L1Tax = hier.L1.Taxonomy()
-	out.L2Tax = hier.L2.Taxonomy()
-	return out, m, nil
+	return h.Finish(cycle), m, nil
 }
