@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzParseLine -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCells -fuzztime=10s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzTenantsFile -fuzztime=10s ./internal/serve
 
 # fuzz-diff is the cross-engine differential fuzzer (internal/progen):
 # seeded random programs must produce bit-identical architectural state

@@ -153,11 +153,12 @@ func configFor(machine core.Machine, scheme core.Scheme) core.Config {
 	return core.R10000(scheme)
 }
 
-// baselineIndex resolves which spec the sweep normalises against. An
-// explicit Options.Baseline must name one of the specs; otherwise the
-// spec labelled "N" is chosen, and its absence is an error (see
-// Options.Baseline).
-func baselineIndex(specs []PlanSpec, baseline string) (int, error) {
+// BaselineIndex resolves which spec a sweep normalises against. An
+// explicit baseline must name one of the specs; otherwise the spec
+// labelled "N" is chosen, and its absence is an error (see
+// Options.Baseline). The serving layer's experiment endpoint resolves its
+// baseline here too, so both normalise by one rule.
+func BaselineIndex(specs []PlanSpec, baseline string) (int, error) {
 	want := baseline
 	if want == "" {
 		want = "N"
@@ -196,7 +197,7 @@ func planLabels(specs []PlanSpec) string {
 // completed before the first failing cell is returned alongside it, so
 // an interrupted sweep still yields a partial report.
 func HandlerOverhead(bms []workload.Benchmark, specs []PlanSpec, opt Options) ([]Result, error) {
-	baseIdx, err := baselineIndex(specs, opt.Baseline)
+	baseIdx, err := BaselineIndex(specs, opt.Baseline)
 	if err != nil {
 		return nil, err
 	}

@@ -341,6 +341,40 @@ func TestTenantRateLimit(t *testing.T) {
 	}
 }
 
+// TestTenantNotChargedForInvalidExperiment: an experiment rejected with
+// 400 (a budget above the server cap) leaves the tenant's bucket full, so
+// the tenant's next valid request of a full burst is admitted. Every
+// experiment cell is canonicalized before admission.
+func TestTenantNotChargedForInvalidExperiment(t *testing.T) {
+	tenants := testTenants(t, TenantsFile{Tenants: []TenantSpec{
+		{Name: "alice", Key: "k-alice", RatePerSec: 0.001, Burst: 4},
+	}})
+	now := time.Unix(1000, 0)
+	tenants.now = func() time.Time { return now }
+	runner := newFakeRunner(false)
+	_, ts := newTestServer(t, Config{runCell: runner.run, Tenants: tenants, MaxInstsCap: 1000})
+	key := map[string]string{"X-API-Key": "k-alice"}
+
+	resp, body := postJSONHeaders(t, ts.URL+"/v1/experiment", ExperimentRequest{
+		Benchmarks: []string{"compress"}, Plans: []string{"N", "S1"}, MaxInsts: 2000}, key)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-cap experiment: status %d, want 400\n%s", resp.StatusCode, body)
+	}
+
+	var cells []Request
+	for _, m := range []string{MachineOOO, MachineInOrder} {
+		for _, plan := range []string{"N", "S1"} {
+			c := cellReq("compress", plan, m)
+			c.MaxInsts = 1000
+			cells = append(cells, c)
+		}
+	}
+	resp, body = postJSONHeaders(t, ts.URL+"/v1/simulate", SimulateRequest{Cells: cells}, key)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("full-burst request after a rejected experiment: status %d, want 200\n%s", resp.StatusCode, body)
+	}
+}
+
 // TestTenantAuth: unknown keys are 401 unauthorized; with DenyAnonymous,
 // keyless requests are too.
 func TestTenantAuth(t *testing.T) {

@@ -10,7 +10,7 @@ package serve
 // capacity / conflict / coherence counts plus each class's fraction of
 // the level's misses.
 //
-// Because explain rides the ordinary submit/await machinery, everything
+// Because explain rides the one cell pipeline (serveCells), everything
 // the simulate path earned comes for free: repeats are served from the
 // RAM LRU / durable store without re-simulating (the differential tests
 // prove a zero sim_instrs delta), identical concurrent requests coalesce
@@ -20,9 +20,7 @@ package serve
 // outcome, not a separate computation.
 
 import (
-	"fmt"
 	"net/http"
-	"time"
 
 	"informing/internal/stats"
 )
@@ -106,80 +104,14 @@ func explainResult(cr CellResult, policy string) ExplainResult {
 	return er
 }
 
-// handleExplain is handleSimulate with a taxonomy-shaped response: same
-// validation, same admission, same submit-all-then-await-all.
+// handleExplain renders the cell pipeline's results as taxonomies, each
+// under its cell's canonical replacement policy.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer s.observeLatency(start)
-	s.met.Requests.Inc()
-	if s.isDraining() {
-		writeError(w, http.StatusServiceUnavailable, &WireError{Code: CodeCanceled, Message: "server draining"})
-		return
-	}
-
-	tn, ok := s.resolveTenant(w, r)
-	if !ok {
-		return
-	}
-	forwarded := isForwarded(r)
-	cells, ok := readCells(w, r)
-	if !ok {
-		return
-	}
-	if len(cells) == 0 {
-		writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: "no cells in request"})
-		return
-	}
-	if len(cells) > s.cfg.MaxCellsPerRequest {
-		writeError(w, http.StatusBadRequest, &WireError{
-			Code: CodeInvalid, Message: fmt.Sprintf("%d cells above per-request limit %d", len(cells), s.cfg.MaxCellsPerRequest)})
-		return
-	}
-	if !s.admitTenant(w, tn, len(cells), forwarded) {
-		return
-	}
-	s.met.Cells.Add(uint64(len(cells)))
-	if forwarded {
-		s.met.ForwardedServed.Add(uint64(len(cells)))
-	}
-
-	results := make([]ExplainResult, len(cells))
-	tickets := make([]*ticket, len(cells))
-	policies := make([]string, len(cells))
-	for i, cell := range cells {
-		canon, err := Canonicalize(cell, s.cfg.MaxInstsCap)
-		if err != nil {
-			results[i] = ExplainResult{Error: &WireError{Code: CodeInvalid, Message: err.Error()}}
-			s.met.CellErrors.Inc()
-			continue
+	s.serveCells(w, r, func(cells []Request, results []CellResult) any {
+		out := make([]ExplainResult, len(results))
+		for i, cr := range results {
+			out[i] = explainResult(cr, cells[i].Policy)
 		}
-		policies[i] = canon.Policy
-		t, we := s.submit(r.Context(), canon, tn, false, forwarded)
-		if we != nil {
-			for _, prev := range tickets {
-				if prev != nil && prev.f != nil {
-					s.leave(prev.f)
-				}
-			}
-			if we.Code == CodeCanceled {
-				writeError(w, http.StatusServiceUnavailable, we)
-				return
-			}
-			writeErrorRetry(w, http.StatusTooManyRequests, we, s.overloadRetryAfter())
-			return
-		}
-		t2 := t
-		tickets[i] = &t2
-	}
-
-	for i, t := range tickets {
-		if t == nil {
-			continue // per-cell validation error already recorded
-		}
-		results[i] = explainResult(s.await(r.Context(), *t), policies[i])
-		if results[i].Error != nil && results[i].Error.Code != CodeCanceled {
-			s.met.CellErrors.Inc()
-		}
-	}
-	writeJSON(w, http.StatusOK, ExplainResponse{Results: results})
+		return ExplainResponse{Results: out}
+	})
 }

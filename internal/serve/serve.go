@@ -458,24 +458,39 @@ func (s *Server) submitLocal(reqCtx context.Context, key string, c Request, tn *
 	}
 	s.mu.Unlock()
 
+	switch s.enqueueBlocking(reqCtx, f) {
+	case nil:
+		return ticket{key: key, f: f}, nil
+	case errShutdown:
+		return ticket{}, &WireError{Code: CodeCanceled, Message: "server shutting down"}
+	}
+	s.abandonUnqueued(f)
+	return ticket{}, &WireError{Code: CodeCanceled, Message: "request canceled while queueing"}
+}
+
+// enqueueBlocking pushes f onto the fair queue, waiting for space. It
+// returns nil once f is queued and ctx's error if ctx ends first (f is
+// then the caller's to tear down). On shutdown it fails f itself and
+// returns errShutdown; shutdown wins over a ctx that ended with it.
+func (s *Server) enqueueBlocking(ctx context.Context, f *flight) error {
 	for {
 		ok, closed := s.queue.tryPush(f)
 		if ok {
-			return ticket{key: key, f: f}, nil
+			return nil
 		}
-		if closed {
-			s.complete(f, outcome{err: errShutdown})
-			return ticket{}, &WireError{Code: CodeCanceled, Message: "server shutting down"}
+		if !closed {
+			select {
+			case <-s.queue.space:
+				continue
+			case <-ctx.Done():
+			case <-s.baseCtx.Done():
+			}
+			if s.baseCtx.Err() == nil {
+				return ctx.Err()
+			}
 		}
-		select {
-		case <-s.queue.space:
-		case <-reqCtx.Done():
-			s.abandonUnqueued(f)
-			return ticket{}, &WireError{Code: CodeCanceled, Message: "request canceled while queueing"}
-		case <-s.baseCtx.Done():
-			s.complete(f, outcome{err: errShutdown})
-			return ticket{}, &WireError{Code: CodeCanceled, Message: "server shutting down"}
-		}
+		s.complete(f, outcome{err: errShutdown})
+		return errShutdown
 	}
 }
 
@@ -497,27 +512,9 @@ func (s *Server) abandonUnqueued(f *flight) {
 		f.cancel()
 		return
 	}
-	go func() {
-		for {
-			ok, closed := s.queue.tryPush(f)
-			if ok {
-				return
-			}
-			if closed {
-				s.complete(f, outcome{err: errShutdown})
-				return
-			}
-			select {
-			case <-s.queue.space:
-			case <-f.ctx.Done():
-				// Every joiner left too; leave() already tore the flight down.
-				return
-			case <-s.baseCtx.Done():
-				s.complete(f, outcome{err: errShutdown})
-				return
-			}
-		}
-	}()
+	// f.ctx ends when every joiner left too; leave() has then already
+	// torn the flight down.
+	go s.enqueueBlocking(f.ctx, f)
 }
 
 // await blocks until the ticket's result is available or the request
@@ -702,13 +699,8 @@ func runRequest(ctx context.Context, c Request, sim *obs.Sim) outcome {
 		if err != nil {
 			return outcome{err: &WireError{Code: CodeInvalid, Message: err.Error()}}
 		}
-		var cfg core.Config
-		if machine == core.InOrder {
-			cfg = core.Alpha21164(scheme)
-		} else {
-			cfg = core.R10000(scheme)
-		}
-		run, err := cfg.WithMaxInsts(c.MaxInsts).WithContext(ctx).WithObs(sim).Run(prog)
+		cfg := experiments.ConfigFor(machine, scheme).WithMaxInsts(c.MaxInsts).WithContext(ctx).WithObs(sim)
+		run, err := cfg.Run(prog)
 		if err != nil {
 			return outcome{err: err}
 		}
@@ -738,14 +730,8 @@ func runRequest(ctx context.Context, c Request, sim *obs.Sim) outcome {
 		if err != nil {
 			return outcome{err: &WireError{Code: CodeInvalid, Message: err.Error()}}
 		}
-		var cfg core.Config
-		if machine == core.InOrder {
-			cfg = core.Alpha21164(core.Off)
-		} else {
-			cfg = core.R10000(core.Off)
-		}
 		res, err := trace.Replay(strings.NewReader(c.Trace), trace.ReplayConfig{
-			Hier:    cfg.HierConfig(),
+			Hier:    experiments.ConfigFor(machine, core.Off).HierConfig(),
 			Reader:  trace.ReaderConfig{AllowSampled: c.AllowSampled},
 			Ctx:     ctx,
 			MaxRefs: c.MaxRefs,
@@ -900,11 +886,6 @@ func writeBodyError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: "bad request body: " + err.Error()})
 }
 
-// isForwarded reports whether the request already took one cluster hop.
-func isForwarded(r *http.Request) bool {
-	return r.Header.Get(HeaderForwarded) != ""
-}
-
 // resolveTenant authenticates the request (before any body validation:
 // an unauthenticated client learns nothing beyond 401). On failure the
 // response has been written.
@@ -962,11 +943,15 @@ func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (*tenant,
 // validation, so an invalid request never drains the bucket. Forwarded
 // requests are never re-admitted: the ingress node already charged the
 // tenant's bucket, and charging both hops would bill every cluster-routed
-// cell twice (the cell counter still moves — it counts cells served by
-// this node). On failure the response has been written.
+// cell twice (the cell counters still move — they count cells served by
+// this node). Every endpoint counts its cells here, so serve_cells_total
+// is the sum of its per-tenant variants. On failure the response has
+// been written.
 func (s *Server) admitTenant(w http.ResponseWriter, tn *tenant, n int, forwarded bool) bool {
+	s.met.Cells.Add(uint64(n))
 	tn.cells.Add(uint64(n))
 	if forwarded {
+		s.met.ForwardedServed.Add(uint64(n))
 		return true
 	}
 	if retry, we := s.tenants.admit(tn, n); we != nil {
@@ -978,20 +963,61 @@ func (s *Server) admitTenant(w http.ResponseWriter, tn *tenant, n int, forwarded
 	return true
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer s.observeLatency(start)
+// begin is the prologue every endpoint shares: it counts the request,
+// applies the drain gate, resolves the tenant and reads the forwarded
+// flag. On failure the response has been written.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request) (tn *tenant, forwarded, ok bool) {
 	s.met.Requests.Inc()
 	if s.isDraining() {
 		writeError(w, http.StatusServiceUnavailable, &WireError{Code: CodeCanceled, Message: "server draining"})
-		return
+		return nil, false, false
 	}
+	tn, ok = s.resolveTenant(w, r)
+	return tn, r.Header.Get(HeaderForwarded) != "", ok
+}
 
-	tn, ok := s.resolveTenant(w, r)
+// submitAll submits every cell before awaiting any, so a request's cells
+// queue together and run concurrently on whichever workers are free. A
+// zero cell (one that failed Canonicalize) is skipped and keeps a zero
+// ticket. On failure every ticket already registered is released.
+func (s *Server) submitAll(ctx context.Context, cells []Request, tn *tenant, block, forwarded bool) ([]ticket, *WireError) {
+	tickets := make([]ticket, len(cells))
+	for i, c := range cells {
+		if c.Kind == "" {
+			continue
+		}
+		t, we := s.submit(ctx, c, tn, block, forwarded)
+		if we != nil {
+			s.release(tickets[:i])
+			return nil, we
+		}
+		tickets[i] = t
+	}
+	return tickets, nil
+}
+
+// release drops the request's waiter on every local flight among tickets
+// it will not await, so abandoned flights are cancelled instead of
+// simulating for nobody.
+func (s *Server) release(tickets []ticket) {
+	for _, t := range tickets {
+		if t.f != nil {
+			s.leave(t.f)
+		}
+	}
+}
+
+// serveCells is the one cell pipeline behind /v1/simulate and
+// /v1/explain: begin → decode → bound → canonicalize (in place) → admit
+// → submit all → await all → render. A cell that fails canonicalization
+// is answered with an "invalid" error in its slot and left zero in cells;
+// render receives the canonical cells and their results.
+func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, render func(cells []Request, results []CellResult) any) {
+	defer s.observeLatency(time.Now())
+	tn, forwarded, ok := s.begin(w, r)
 	if !ok {
 		return
 	}
-	forwarded := isForwarded(r)
 	cells, ok := readCells(w, r)
 	if !ok {
 		return
@@ -1005,71 +1031,50 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			Code: CodeInvalid, Message: fmt.Sprintf("%d cells above per-request limit %d", len(cells), s.cfg.MaxCellsPerRequest)})
 		return
 	}
+	results := make([]CellResult, len(cells))
+	for i := range cells {
+		var err error
+		if cells[i], err = Canonicalize(cells[i], s.cfg.MaxInstsCap); err != nil {
+			results[i].Error = &WireError{Code: CodeInvalid, Message: err.Error()}
+		}
+	}
 	if !s.admitTenant(w, tn, len(cells), forwarded) {
 		return
 	}
-	s.met.Cells.Add(uint64(len(cells)))
-	if forwarded {
-		s.met.ForwardedServed.Add(uint64(len(cells)))
-	}
-
-	// Submit every valid cell before awaiting any, so the request's cells
-	// queue together and run concurrently on whichever workers are free.
-	results := make([]CellResult, len(cells))
-	tickets := make([]*ticket, len(cells))
-	for i, cell := range cells {
-		canon, err := Canonicalize(cell, s.cfg.MaxInstsCap)
-		if err != nil {
-			results[i] = CellResult{Error: &WireError{Code: CodeInvalid, Message: err.Error()}}
-			s.met.CellErrors.Inc()
-			continue
-		}
-		t, we := s.submit(r.Context(), canon, tn, false, forwarded)
-		if we != nil {
-			// Queue overflow rejects the whole request: drop the waiters
-			// we already registered and tell the client to back off.
-			for _, prev := range tickets {
-				if prev != nil && prev.f != nil {
-					s.leave(prev.f)
-				}
-			}
-			if we.Code == CodeCanceled {
-				writeError(w, http.StatusServiceUnavailable, we)
-				return
-			}
+	tickets, we := s.submitAll(r.Context(), cells, tn, false, forwarded)
+	if we != nil {
+		// Drain or shutdown is a 503; a full queue is a 429 with the wait
+		// the server computed.
+		if we.Code == CodeCanceled {
+			writeError(w, http.StatusServiceUnavailable, we)
+		} else {
 			writeErrorRetry(w, http.StatusTooManyRequests, we, s.overloadRetryAfter())
-			return
 		}
-		t2 := t
-		tickets[i] = &t2
+		return
 	}
-
 	for i, t := range tickets {
-		if t == nil {
-			continue // per-cell validation error already recorded
+		if cells[i].Kind != "" {
+			results[i] = s.await(r.Context(), t)
 		}
-		results[i] = s.await(r.Context(), *t)
-		if results[i].Error != nil && results[i].Error.Code != CodeCanceled {
+		if e := results[i].Error; e != nil && e.Code != CodeCanceled {
 			s.met.CellErrors.Inc()
 		}
 	}
-	writeJSON(w, http.StatusOK, SimulateResponse{Results: results})
+	writeJSON(w, http.StatusOK, render(cells, results))
+}
+
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	s.serveCells(w, r, func(_ []Request, results []CellResult) any {
+		return SimulateResponse{Results: results}
+	})
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer s.observeLatency(start)
-	s.met.Requests.Inc()
-	if s.isDraining() {
-		writeError(w, http.StatusServiceUnavailable, &WireError{Code: CodeCanceled, Message: "server draining"})
-		return
-	}
-
-	tn, ok := s.resolveTenant(w, r)
+	defer s.observeLatency(time.Now())
+	tn, forwarded, ok := s.begin(w, r)
 	if !ok {
 		return
 	}
-	forwarded := isForwarded(r)
 	var req ExperimentRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -1129,102 +1134,67 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 		baseline = req.Baseline
 	}
-
-	// Resolve the normalisation baseline exactly like
-	// experiments.HandlerOverhead ("" selects the "N" bar; its absence is
-	// an error rather than a silent default).
-	want := baseline
-	if want == "" {
-		want = "N"
-	}
-	baseIdx := -1
-	for i, spec := range specs {
-		if spec.Label == want {
-			baseIdx = i
-			break
-		}
-	}
-	if baseIdx < 0 {
-		writeError(w, http.StatusBadRequest, &WireError{
-			Code: CodeInvalid, Message: fmt.Sprintf("no %q plan to normalise against", want)})
+	baseIdx, err := experiments.BaselineIndex(specs, baseline)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: err.Error()})
 		return
 	}
 
 	// Enumerate cells in the harness's benchmark → machine → plan order;
 	// the served tables must be byte-identical to the sequential CLI's.
-	machines := []core.Machine{core.OutOfOrder, core.InOrder}
+	// Every cell is canonicalized before admission, so an invalid
+	// experiment never drains the tenant's bucket.
+	machines := []string{MachineOOO, MachineInOrder}
 	if total := len(bms) * len(machines) * len(specs); total > s.cfg.MaxExperimentCells {
 		writeError(w, http.StatusBadRequest, &WireError{
 			Code: CodeInvalid, Message: fmt.Sprintf("experiment grid of %d cells above limit %d", total, s.cfg.MaxExperimentCells)})
 		return
 	}
-	machineNames := map[core.Machine]string{core.OutOfOrder: MachineOOO, core.InOrder: MachineInOrder}
-	type cellRef struct {
-		bm      string
-		machine core.Machine
-		plan    string
-	}
-	var cells []cellRef
+	var cells []Request
 	for _, bm := range bms {
 		for _, m := range machines {
 			for _, spec := range specs {
-				cells = append(cells, cellRef{bm.Name, m, spec.Label})
+				c, err := Canonicalize(Request{Kind: KindCell, Benchmark: bm.Name, Plan: spec.Label,
+					Machine: m, Scale: req.Scale, MaxInsts: req.MaxInsts}, s.cfg.MaxInstsCap)
+				if err != nil {
+					writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: err.Error()})
+					return
+				}
+				cells = append(cells, c)
 			}
 		}
 	}
-
 	if !s.admitTenant(w, tn, len(cells), forwarded) {
 		return
 	}
 
+	// Blocking submit: an experiment larger than the queue trickles in as
+	// the pool drains; the open request is the backpressure. In cluster
+	// mode this IS the scatter: non-owned cells return remote tickets
+	// immediately (the forwards run concurrently, bounded by the per-peer
+	// connection pool) while self-owned cells flow through the local
+	// queue — and the in-order await below is the gather, reusing sched's
+	// deterministic-merge contract.
+	tickets, we := s.submitAll(r.Context(), cells, tn, true, forwarded)
+	if we != nil {
+		writeError(w, http.StatusServiceUnavailable, we)
+		return
+	}
 	resp := ExperimentResponse{Name: req.Name, Cells: len(cells)}
-	tickets := make([]ticket, len(cells))
-	for i, c := range cells {
-		canon, err := Canonicalize(Request{
-			Kind: KindCell, Benchmark: c.bm, Plan: c.plan,
-			Machine: machineNames[c.machine], Scale: req.Scale, MaxInsts: req.MaxInsts,
-		}, s.cfg.MaxInstsCap)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, &WireError{Code: CodeInvalid, Message: err.Error()})
-			return
-		}
-		// Blocking submit: an experiment larger than the queue trickles in
-		// as the pool drains; the open request is the backpressure. In
-		// cluster mode this loop IS the scatter: non-owned cells return
-		// remote tickets immediately (the forwards run concurrently,
-		// bounded by the per-peer connection pool) while self-owned cells
-		// flow through the local queue — and the in-order await below is
-		// the gather, reusing sched's deterministic-merge contract.
-		t, we := s.submit(r.Context(), canon, tn, true, forwarded)
-		if we != nil {
-			for _, prev := range tickets[:i] {
-				if prev.f != nil {
-					s.leave(prev.f)
-				}
-			}
-			writeError(w, http.StatusServiceUnavailable, we)
-			return
-		}
+	for _, t := range tickets {
 		if t.cached != nil {
 			resp.CacheHits++
 		} else {
 			resp.Computed++
 		}
-		tickets[i] = t
 	}
 
 	results := make([]experiments.Result, len(cells))
 	for i, t := range tickets {
 		cr := s.await(r.Context(), t)
 		if cr.Error != nil {
-			// The experiment fails as a whole: drop our waiter count on
-			// every ticket not yet awaited, so abandoned flights are
-			// cancelled instead of simulating for nobody.
-			for _, rest := range tickets[i+1:] {
-				if rest.f != nil {
-					s.leave(rest.f)
-				}
-			}
+			// The experiment fails as a whole.
+			s.release(tickets[i+1:])
 			status := http.StatusInternalServerError
 			switch cr.Error.Code {
 			case CodeCanceled:
@@ -1236,12 +1206,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			writeError(w, status, cr.Error)
 			return
 		}
-		results[i] = experiments.Result{
-			Benchmark: cells[i].bm,
-			Machine:   cells[i].machine,
-			Plan:      cells[i].plan,
-			Run:       *cr.Run,
-		}
+		machine, _, _ := machineByName(cells[i].Machine)
+		results[i] = experiments.Result{Benchmark: cells[i].Benchmark, Machine: machine, Plan: cells[i].Plan, Run: *cr.Run}
 	}
 	// Post-join normalisation, identical to HandlerOverhead's.
 	for i := range results {
@@ -1329,10 +1295,11 @@ func (s *Server) clusterStatus() map[string]any {
 // The body carries per-subsystem detail so an operator can tell WHY a
 // node is not ready (workers not started? draining?) and what state
 // the degradable subsystems are in (store demoted to RAM-only? peers
-// unreachable?). Only the "dispatcher" subsystem (the worker pool that
-// takes flights off the queue) and draining decide the status code:
-// store degradation and peer outages degrade service quality, never
-// correctness, so they must not rotate the node out.
+// unreachable?). Only the worker pool that takes flights off the queue
+// and draining decide the status code: store degradation and peer
+// outages degrade service quality, never correctness, so they must not
+// rotate the node out. The pool's JSON key is "dispatcher": it is wire
+// API, kept for compatibility with existing probes.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	started := false
 	select {

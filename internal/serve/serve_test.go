@@ -361,6 +361,41 @@ func TestQueueOverflow429(t *testing.T) {
 	}
 }
 
+// TestQueueOverflowReleasesJoinedFlights: a request rejected with 429
+// part way through its cells drops the waiters it already registered, so
+// a flight it joined is left with only its other clients.
+func TestQueueOverflowReleasesJoinedFlights(t *testing.T) {
+	runner := newFakeRunner(true)
+	defer close(runner.release)
+	s, ts := newTestServer(t, Config{runCell: runner.run, Workers: 1, QueueSize: 1})
+
+	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "S1", "ooo")}})
+	select {
+	case <-runner.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first computation never started")
+	}
+	queued := cellReq("espresso", "S1", "ooo")
+	go tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{queued}})
+	waitForQueued(t, s, 1)
+
+	// Joins the queued flight, then overflows on its second cell.
+	resp, body := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{queued, cellReq("tomcatv", "S1", "ooo")}})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429\n%s", resp.StatusCode, body)
+	}
+	s.mu.Lock()
+	f := s.flights[Fingerprint(mustCanon(t, queued))]
+	waiters := -1
+	if f != nil {
+		waiters = f.waiters
+	}
+	s.mu.Unlock()
+	if waiters != 1 {
+		t.Fatalf("queued flight has %d waiters after the rejected request, want 1", waiters)
+	}
+}
+
 // TestBudgetAbortErrorBody: a real simulation whose per-request budget
 // expires returns a well-formed error body with code "budget" and the
 // govern diagnostic snapshot.
@@ -466,6 +501,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	runner := newFakeRunner(false)
 	_, ts := newTestServer(t, Config{runCell: runner.run})
 	postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{cellReq("compress", "N", "ooo")}})
+	// Experiment cells count like simulate cells, globally and per tenant.
+	if resp, body := postJSON(t, ts.URL+"/v1/experiment", ExperimentRequest{
+		Benchmarks: []string{"compress"}, Plans: []string{"N", "S1"}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("experiment: status %d\n%s", resp.StatusCode, body)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -485,6 +525,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Counters[MetricRequests] == 0 {
 		t.Error("serve_requests_total did not count")
+	}
+	anon := TenantMetricName(MetricCells, AnonymousTenant)
+	if global := snap.Counters[MetricCells]; global != 5 || snap.Counters[anon] != global {
+		t.Errorf("%s = %d, %s = %d, want both 5 (1 simulate + 4 experiment cells)",
+			MetricCells, global, anon, snap.Counters[anon])
 	}
 }
 
@@ -813,6 +858,18 @@ func TestExperimentGridBounds(t *testing.T) {
 			"duplicate-plan-alias",
 			ExperimentRequest{Benchmarks: []string{"compress"}, Plans: []string{"N", "S1", "S1/branch"}},
 			"duplicate plan",
+		},
+		{
+			// No baseline named and no "N" bar: experiments.BaselineIndex's
+			// verdict, the harness's own rule.
+			"no-default-baseline",
+			ExperimentRequest{Benchmarks: []string{"compress"}, Plans: []string{"S1", "CC1"}},
+			`no "N" plan among [S1 CC1] to normalise against`,
+		},
+		{
+			"baseline-not-in-plans",
+			ExperimentRequest{Benchmarks: []string{"compress"}, Plans: []string{"N", "S1"}, Baseline: "S2"},
+			`baseline plan "S2" not among [N S1]`,
 		},
 	}
 	for _, tc := range cases {
