@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-serve fuzz fuzz-diff verify clean bench bench-gate bench-smoke bench-informbench-smoke obs-smoke serve-smoke chaos-smoke cluster-smoke trace-smoke policy-smoke paper-gen paper-tables paper-check
+.PHONY: build test test-short race race-serve fuzz fuzz-diff verify clean bench bench-gate fig3-golden bench-smoke bench-informbench-smoke obs-smoke serve-smoke chaos-smoke cluster-smoke trace-smoke policy-smoke paper-gen paper-tables paper-check
 
 build:
 	$(GO) build ./...
@@ -56,15 +56,28 @@ bench-gate:
 	$(GO) run ./cmd/hotpathbench -label gate -repeat 3 -out /tmp/bench_gate.json
 	$(GO) run ./cmd/benchdiff -committed BENCH_hotpath.json -fresh /tmp/bench_gate.json
 
-# bench-smoke checks the parallel runner end to end: the -j sweep must be
-# byte-identical to the sequential path. (No `time` prefix: make runs
-# recipes under /bin/sh, where `time` is not a builtin on dash systems;
-# the CI workflow, which runs under bash, still times the two runs.)
-bench-smoke:
+# fig3-golden extracts what `handlerbench -experiment fig3 -raw` must
+# print: the committed "Figure 3: su2cor with generic miss handlers" block
+# of docs_experiments_raw.txt, found by its header and ending with the
+# blank line before the next table's title. bench-smoke, obs-smoke and
+# policy-smoke compare their fig3 runs against it, so one file defines
+# what fig3 prints.
+fig3-golden:
+	awk '/^Figure 3: su2cor with generic miss handlers$$/ { on = 1 } \
+		on { line[n++] = $$0 } \
+		on && n > 2 && /^=+$$/ { exit } \
+		END { for (i = 0; i < n - 2; i++) print line[i] }' \
+		docs_experiments_raw.txt > /tmp/fig3_golden.txt
+	test -s /tmp/fig3_golden.txt
+
+# bench-smoke checks the parallel runner end to end: the sequential and
+# the -j sweep must both print the committed fig3 block byte for byte.
+bench-smoke: fig3-golden
 	$(GO) build -o /tmp/handlerbench ./cmd/handlerbench
-	/tmp/handlerbench -experiment fig3 -j 1 > /tmp/fig3_j1.txt
-	/tmp/handlerbench -experiment fig3 > /tmp/fig3_jN.txt
-	cmp /tmp/fig3_j1.txt /tmp/fig3_jN.txt
+	/tmp/handlerbench -experiment fig3 -raw -j 1 > /tmp/fig3_j1.txt
+	/tmp/handlerbench -experiment fig3 -raw > /tmp/fig3_jN.txt
+	cmp /tmp/fig3_golden.txt /tmp/fig3_j1.txt
+	cmp /tmp/fig3_golden.txt /tmp/fig3_jN.txt
 
 # bench-informbench-smoke builds and checks informbench (bench/, its own
 # module, so `go test ./...` at the root never compiles it) against the
@@ -75,16 +88,15 @@ bench-informbench-smoke:
 
 # obs-smoke checks observability end to end (EXPERIMENTS.md
 # "Observability"): a sweep with metrics and 1-in-64 trace sampling must
-# leave the stdout tables byte-identical to a plain run, emit schema-valid
-# JSONL (cmd/tracecheck), and print a metrics registry on stderr.
-obs-smoke:
+# print the committed fig3 block byte for byte, emit schema-valid JSONL
+# (cmd/tracecheck), and print a metrics registry on stderr.
+obs-smoke: fig3-golden
 	$(GO) build -o /tmp/handlerbench ./cmd/handlerbench
 	$(GO) build -o /tmp/tracecheck ./cmd/tracecheck
-	/tmp/handlerbench -experiment fig3 -j 1 > /tmp/fig3_plain.txt
-	/tmp/handlerbench -experiment fig3 -j 1 -metrics \
+	/tmp/handlerbench -experiment fig3 -raw -j 1 -metrics \
 		-trace-out /tmp/fig3_trace.jsonl -trace-sample 64 \
 		> /tmp/fig3_obs.txt 2> /tmp/fig3_metrics.txt
-	cmp /tmp/fig3_plain.txt /tmp/fig3_obs.txt
+	cmp /tmp/fig3_golden.txt /tmp/fig3_obs.txt
 	/tmp/tracecheck /tmp/fig3_trace.jsonl
 	grep -q '"sim_instrs"' /tmp/fig3_metrics.txt
 
@@ -138,21 +150,20 @@ trace-smoke:
 	cmp /tmp/smoke_sweep_j1.txt /tmp/smoke_sweep_jN.txt
 
 # policy-smoke is the replacement-policy acceptance lane (DESIGN.md §17):
-# `-policy lru` must be byte-identical to the default tables (LRU is the
-# canonical empty policy, so naming it must change nothing), a non-LRU
+# `-policy lru` must print the committed fig3 block byte for byte (LRU is
+# the canonical empty policy, so naming it must change nothing), a non-LRU
 # sweep must actually move the numbers (brrip: su2cor's streaming cells
 # are srrip-neutral but not brrip-neutral, so this proves the dimension
 # is live, not plumbed-and-ignored), the §6 prefetch case study must
 # render its
 # taxonomy table, and the policy-differential battery, the
 # policy×taxonomy golden grid and the /v1/explain round trip must hold.
-policy-smoke:
+policy-smoke: fig3-golden
 	$(GO) build -o /tmp/handlerbench ./cmd/handlerbench
-	/tmp/handlerbench -experiment fig3 > /tmp/fig3_default.txt
-	/tmp/handlerbench -experiment fig3 -policy lru > /tmp/fig3_lru.txt
-	cmp /tmp/fig3_default.txt /tmp/fig3_lru.txt
-	/tmp/handlerbench -experiment fig3 -policy brrip > /tmp/fig3_brrip.txt
-	! cmp -s /tmp/fig3_default.txt /tmp/fig3_brrip.txt
+	/tmp/handlerbench -experiment fig3 -raw -policy lru > /tmp/fig3_lru.txt
+	cmp /tmp/fig3_golden.txt /tmp/fig3_lru.txt
+	/tmp/handlerbench -experiment fig3 -raw -policy brrip > /tmp/fig3_brrip.txt
+	! cmp -s /tmp/fig3_golden.txt /tmp/fig3_brrip.txt
 	/tmp/handlerbench -experiment prefetch > /tmp/prefetch.txt
 	grep -q 'Miss taxonomy under prefetch handlers' /tmp/prefetch.txt
 	$(GO) test -run 'TestPolicy|TestRRIPNotInclusive|TestTaxonomy' ./internal/mem/

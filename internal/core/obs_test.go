@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"informing/internal/govern"
+	"informing/internal/isa"
 	"informing/internal/obs"
 	"informing/internal/stats"
 	"informing/internal/workload"
@@ -47,10 +50,18 @@ func runObsCell(t *testing.T, c goldenCell, mod func(Config) Config) (stats.Run,
 // golden contract: enabling the metrics registry and sampled tracing must
 // not change a single measured statistic or any bit of final architectural
 // state, on any cell of the golden grid. Observation, not perturbation.
+// It also pins every cell's per-opcode issue-stall totals
+// (obsStallsGolden), the one counter only an observed run computes.
+//
+// Regenerate the stall table (only when intentionally changing simulator
+// semantics) with:
+//
+//	OBS_STALLS_GOLDEN_PRINT=1 go test -run TestObsNeverChangesStats ./internal/core -v | grep '^\t'
 func TestObsNeverChangesStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden grid is heavy")
 	}
+	printStalls := os.Getenv("OBS_STALLS_GOLDEN_PRINT") != ""
 	for _, c := range goldenCells() {
 		c := c
 		t.Run(c.key(), func(t *testing.T) {
@@ -89,8 +100,30 @@ func TestObsNeverChangesStats(t *testing.T) {
 				t.Errorf("1-in-7 source sampling offered %d events for %d instrs, want %d",
 					total, observed.Instrs, observed.Instrs/7)
 			}
+			stalls := issueStalls(sim)
+			if printStalls {
+				fmt.Printf("\t%q: %q,\n", c.key(), stalls)
+				return
+			}
+			if want, ok := obsStallsGolden[c.key()]; !ok {
+				t.Errorf("no issue-stall golden entry for %s (regenerate with OBS_STALLS_GOLDEN_PRINT=1)", c.key())
+			} else if stalls != want {
+				t.Errorf("per-opcode issue stalls diverged:\n got: %s\nwant: %s", stalls, want)
+			}
 		})
 	}
+}
+
+// issueStalls renders sim's non-zero per-opcode issue-stall totals as
+// "op=n" pairs in opcode order.
+func issueStalls(sim *obs.Sim) string {
+	var parts []string
+	for op, c := range sim.IssueStalls {
+		if n := c.Load(); n != 0 {
+			parts = append(parts, fmt.Sprintf("%v=%d", isa.Op(op), n))
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // TestTraceEmissionParity pins the unified TraceEvent construction point

@@ -70,9 +70,84 @@ func TestLivelockDetected(t *testing.T) {
 	if snap.ROBOccupied == 0 || snap.OldestInst == "" {
 		t.Errorf("snapshot missing pipeline detail: %v", snap)
 	}
-	if snap.Cycle <= cfg.OOO.Govern.WatchdogCycles {
-		t.Errorf("aborted at cycle %d, before the %d-cycle watchdog",
+	// Nothing ever issues, so the last progress is the governor's start
+	// mark, cycle 0, and the watchdog fires on the first cycle more than
+	// 5000 cycles later.
+	if snap.Cycle != 5001 {
+		t.Errorf("aborted at cycle %d, want 5001 (one past the %d-cycle watchdog)",
 			snap.Cycle, cfg.OOO.Govern.WatchdogCycles)
+	}
+}
+
+// TestLivelockBehindLongOp pins the exact abort cycle when the pipeline
+// waits on one instruction whose latency outlasts the watchdog: after
+// the last progress, at cycle 17, nothing can happen until a 20000-cycle
+// divide completes, so the watchdog must fire at its own deadline, not
+// wherever the next event lies.
+func TestLivelockBehindLongOp(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Addi(isa.R1, isa.R0, 7)
+	b.Addi(isa.R2, isa.R0, 3)
+	b.Div(isa.R3, isa.R1, isa.R2)
+	b.Addi(isa.R4, isa.R3, 1)
+	b.Halt()
+	prog := b.MustFinish()
+
+	cfg := R10000(Off)
+	cfg.OOO.Lat.IntDiv = 20000
+	cfg.OOO.Govern.WatchdogCycles = 5000
+	_, _, err := cfg.RunDetailed(prog)
+	if !errors.Is(err, govern.ErrLivelock) {
+		t.Fatalf("long divide returned %v, want ErrLivelock", err)
+	}
+	snap, ok := govern.SnapshotIn(err)
+	if !ok {
+		t.Fatal("livelock abort carries no snapshot")
+	}
+	if snap.Cycle != 5018 || snap.ROBOccupied != 3 {
+		t.Errorf("aborted at cycle %d with %d in the ROB, want cycle 5018 with 3", snap.Cycle, snap.ROBOccupied)
+	}
+}
+
+// TestCancelAtFirstPoll pins the exact cycle of a context abort: with the
+// context canceled before the run, the out-of-order core stops at the
+// first poll, cycle CheckEvery-1, with the same fetched and graduated
+// work however it got there. With a poll every 930 cycles the poll falls
+// while the window waits on misses and nothing can act.
+func TestCancelAtFirstPoll(t *testing.T) {
+	bm, ok := workload.ByName("tomcatv")
+	if !ok {
+		t.Fatal("unknown benchmark tomcatv")
+	}
+	prog, err := workload.Build(bm, workload.NewPlanSingle(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		every      uint64
+		cycle      int64
+		seq        uint64
+		robEntries int
+	}{
+		{1000, 999, 384, 17},
+		{930, 929, 359, 32},
+	} {
+		cfg := R10000(TrapBranch).WithContext(ctx)
+		cfg.OOO.Govern.CheckEvery = tc.every
+		_, _, err := cfg.RunDetailed(prog)
+		if !errors.Is(err, govern.ErrCanceled) {
+			t.Fatalf("poll every %d: canceled run returned %v, want ErrCanceled", tc.every, err)
+		}
+		snap, ok := govern.SnapshotIn(err)
+		if !ok {
+			t.Fatalf("poll every %d: cancel abort carries no snapshot", tc.every)
+		}
+		if snap.Cycle != tc.cycle || snap.Seq != tc.seq || snap.ROBOccupied != tc.robEntries {
+			t.Errorf("poll every %d: aborted at cycle %d, seq %d, %d in the ROB; want cycle %d, seq %d, %d",
+				tc.every, snap.Cycle, snap.Seq, snap.ROBOccupied, tc.cycle, tc.seq, tc.robEntries)
+		}
 	}
 }
 
