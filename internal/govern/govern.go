@@ -139,6 +139,23 @@ func (g *Governor) Tick() error {
 	return g.CheckCtx()
 }
 
+// Horizon returns the latest cycle a timing core that made no progress
+// after cycle, and has ticked once for it, may jump to without passing a
+// context poll or the watchdog deadline: both then fire at the cycle they
+// would have fired at stepping one cycle at a time.
+func (g *Governor) Horizon(cycle int64) int64 {
+	h := cycle + int64(g.untilPoll)
+	if g.watchdog >= 0 {
+		h = min(h, g.lastProgress+g.watchdog+1)
+	}
+	return h
+}
+
+// Skip counts n ticks of cycles a core jumped over. n must stay below the
+// ticks left until the next poll, which a jump no further than Horizon
+// guarantees.
+func (g *Governor) Skip(n uint64) { g.untilPoll -= n }
+
 // CheckCtx polls the context immediately (engines call it at natural
 // barriers such as phase boundaries).
 func (g *Governor) CheckCtx() error {

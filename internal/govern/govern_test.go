@@ -86,3 +86,43 @@ func TestAbortSnapshot(t *testing.T) {
 		t.Error("SnapshotIn matched a plain error")
 	}
 }
+
+// TestHorizonAndSkip: a jump no further than Horizon, counted with Skip,
+// leaves the context poll on the tick it would fall on when ticking every
+// cycle, and Horizon never passes the watchdog deadline.
+func TestHorizonAndSkip(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := New(Config{Ctx: ctx, CheckEvery: 10, WatchdogCycles: 100})
+	if err := g.Tick(); err != nil {
+		t.Fatalf("tick at cycle 0 polled: %v", err)
+	}
+	if h := g.Horizon(0); h != 9 {
+		t.Fatalf("Horizon(0) = %d, want 9 (the 10th tick polls)", h)
+	}
+	// Jump over cycles 1..8; the tick for cycle 9 is the 10th and polls.
+	g.Skip(8)
+	if err := g.Tick(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("tick at cycle 9 returned %v, want ErrCanceled", err)
+	}
+
+	g = New(Config{CheckEvery: 1000, WatchdogCycles: 100})
+	g.Progress(20)
+	if err := g.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if h := g.Horizon(50); h != 121 {
+		t.Errorf("Horizon(50) = %d, want the watchdog deadline 121", h)
+	}
+	if err := g.CheckProgress(121); !errors.Is(err, ErrLivelock) {
+		t.Errorf("CheckProgress(121) = %v, want ErrLivelock", err)
+	}
+
+	g = New(Config{CheckEvery: 1000, WatchdogCycles: -1})
+	if err := g.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if h := g.Horizon(50); h != 1049 {
+		t.Errorf("disabled watchdog: Horizon(50) = %d, want the poll at 1049", h)
+	}
+}

@@ -318,7 +318,10 @@ func (m *Machine) StepInto(rec *Rec) error {
 	}
 	in := &m.text[k]
 	st := &m.static[k]
-	*rec = Rec{Seq: m.Seq, PC: m.PC, Inst: *in, SIdx: k}
+	// Field by field: a composite literal would build a temporary and
+	// copy it into *rec, once per simulated instruction.
+	rec.Seq, rec.PC, rec.Inst, rec.SIdx = m.Seq, m.PC, *in, k
+	rec.EA, rec.Level, rec.Taken, rec.Trap = 0, 0, false, false
 	m.Seq++
 	next := m.PC + isa.InstBytes
 

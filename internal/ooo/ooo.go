@@ -120,27 +120,35 @@ type producer struct {
 	set bool
 }
 
+// robEntry is one reorder-buffer slot. The fields the issue scan reads on
+// every visit come first, so that a visit touches one cache line.
 type robEntry struct {
-	rec     interp.Rec
-	st      *isa.Static // predecoded classification of rec.Inst (never nil)
-	fu      isa.FUClass
-	srcs    [3]producer // register producers (up to 2) + CC producer for BMISS
-	nsrc    int
-	fetchC  int64
-	issueC  int64
-	tagC    int64 // memory tag-check resolution time
-	compC   int64 // data/result available
-	gradC   int64
-	issued  bool
-	grad    bool
-	shadow  bool // currently consumes branch shadow state
-	isMiss  bool // memory op that missed in L1
-	memAddr uint64
-
 	// Doubly-linked list of unissued entries in dispatch (age) order, so
 	// the issue stage scans only candidates instead of walking the whole
 	// reorder buffer past already-issued entries. -1 terminates.
 	nextUn, prevUn int32
+	fetchC         int64
+	// readyAt is the cycle from which the entry may issue: the max of
+	// fetchC+FrontDepth and every live producer's compC (tagC for the
+	// BMISS condition-code producer). It is computed once all live
+	// producers have issued, since their times never change after
+	// issue; -1 until then.
+	readyAt int64
+	compC   int64 // data/result available
+	tagC    int64 // memory tag-check resolution time
+	issued  bool
+	grad    bool
+	shadow  bool // currently consumes branch shadow state
+	isMiss  bool // memory op that missed in L1
+	fu      isa.FUClass
+
+	st      *isa.Static // predecoded classification of rec.Inst (never nil)
+	srcs    [3]producer // register producers (up to 2) + CC producer for BMISS
+	nsrc    int
+	issueC  int64
+	gradC   int64
+	memAddr uint64
+	rec     interp.Rec
 }
 
 type fetchStallKind uint8
@@ -151,6 +159,10 @@ const (
 	stallTag                 // resume after entry's tag check (+MispredictExtra)
 	stallGrad                // resume after entry graduates (+FlushPenalty)
 )
+
+// iterationHook, when set, is called once per iteration of the cycle
+// loop; tests use it to check that dead cycles are skipped.
+var iterationHook func()
 
 // Run simulates prog to completion and returns the measured statistics.
 func Run(prog *isa.Program, cfg Config) (stats.Run, error) {
@@ -238,27 +250,35 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		return h.Abort(cause, snap)
 	}
 
-	var rec interp.Rec // reused across Step calls (Rec is copy-heavy)
-
-	ready := func(p producer) bool {
-		if !p.set {
-			return true
+	// resolve caches e.readyAt once every live producer has issued. A
+	// producer whose slot has graduated or been reused holds a value
+	// long available and adds nothing.
+	resolve := func(e *robEntry) {
+		t := e.fetchC + cfg.FrontDepth
+		for s := 0; s < e.nsrc; s++ {
+			p := e.srcs[s]
+			if !p.set {
+				continue
+			}
+			pe := &rob[p.idx]
+			if pe.rec.Seq != p.seq || pe.grad {
+				continue
+			}
+			if !pe.issued {
+				return
+			}
+			t = max(t, pe.compC)
 		}
-		e := &rob[p.idx]
-		if e.rec.Seq != p.seq || e.grad {
-			return true // producer already graduated; value long available
+		if p := e.srcs[2]; p.set && e.rec.Inst.Op == isa.Bmiss {
+			pe := &rob[p.idx]
+			if pe.rec.Seq == p.seq && !pe.grad {
+				if !pe.issued {
+					return
+				}
+				t = max(t, pe.tagC)
+			}
 		}
-		return e.issued && e.compC <= cycle
-	}
-	ccReady := func(p producer) bool {
-		if !p.set {
-			return true
-		}
-		e := &rob[p.idx]
-		if e.rec.Seq != p.seq || e.grad {
-			return true
-		}
-		return e.issued && e.tagC <= cycle
+		e.readyAt = t
 	}
 
 	stallResolved := func() bool {
@@ -287,7 +307,72 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		return true
 	}
 
+	// nextCycle is called after a dead cycle, one in which nothing
+	// graduated, issued or fetched. Until some stage can act again the
+	// machine state is frozen, so it returns the first later cycle at
+	// which one can (DESIGN.md §14): the head's graduation, an unissued
+	// entry's readyAt, the fetch restart, the governor's next poll or
+	// watchdog deadline, and the next obs flush.
+	nextCycle := func() int64 {
+		next := gov.Horizon(cycle)
+		if sim != nil {
+			next = min(next, (cycle|(pipe.ObsFlushEvery-1))+1)
+		}
+		if count > 0 && rob[head].issued {
+			next = min(next, rob[head].compC+1)
+		}
+		for at := unHead; at >= 0; at = rob[at].nextUn {
+			e := &rob[at]
+			if e.readyAt < 0 {
+				resolve(e)
+				if e.readyAt < 0 {
+					continue // waits for a producer's issue, itself an event
+				}
+			}
+			if e.rec.Inst.Op == isa.Mfcnt && int(at) != head {
+				continue // waits for graduation, itself an event
+			}
+			next = min(next, e.readyAt)
+		}
+		if count == cfg.ROBSize || m.Halted {
+			return max(next, cycle+1)
+		}
+		// Fetch restarts once its block has passed, the pending stall has
+		// resolved and, with shadow state full, enough shadows have.
+		restart := fetchBlocked
+		if stallKind != stallNone {
+			e := &rob[stallIdx]
+			if e.rec.Seq == stallSeq {
+				switch {
+				case stallKind == stallExec && e.issued:
+					restart = max(restart, e.compC+1+cfg.MispredictExtra)
+				case stallKind == stallTag && e.issued:
+					restart = max(restart, e.tagC+1+cfg.MispredictExtra)
+				case stallKind == stallGrad && e.grad:
+					restart = max(restart, e.gradC+cfg.FlushPenalty)
+				default:
+					return max(next, cycle+1) // resolves after an issue or a graduation
+				}
+			}
+		}
+		if shadowLive >= cfg.ShadowStates {
+			live := shadowLive
+			t := cycle + 1
+			for ; t <= cycle+wheelLen && live >= cfg.ShadowStates; t++ {
+				live -= int(shadowWheel[t&wheelMask])
+			}
+			if live >= cfg.ShadowStates {
+				return max(next, cycle+1) // a shadow must issue first
+			}
+			restart = max(restart, t-1)
+		}
+		return max(min(next, restart), cycle+1)
+	}
+
 	for {
+		if iterationHook != nil {
+			iterationHook()
+		}
 		// ---- graduation (uses results from previous cycles) ----------
 		gradN := 0
 		for count > 0 && gradN < cfg.IssueWidth {
@@ -336,22 +421,12 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				at = next
 				continue
 			}
-			ok := true
+			if e.readyAt < 0 {
+				resolve(e)
+			}
 			// Counter reads serialize the pipeline (§1): MFCNT issues
 			// only from the head of the reorder buffer.
-			if e.rec.Inst.Op == isa.Mfcnt && int(at) != head {
-				ok = false
-			}
-			for s := 0; s < e.nsrc; s++ {
-				if !ready(e.srcs[s]) {
-					ok = false
-					break
-				}
-			}
-			if ok && e.rec.Inst.Op == isa.Bmiss && !ccReady(e.srcs[2]) {
-				ok = false
-			}
-			if !ok {
+			if e.readyAt < 0 || e.readyAt > cycle || e.rec.Inst.Op == isa.Mfcnt && int(at) != head {
 				if sim != nil && !stallCharged {
 					stallCharged = true
 					h.Stalls[e.rec.Inst.Op]++
@@ -407,9 +482,9 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		}
 
 		// ---- fetch/dispatch -------------------------------------------
+		fetched := 0
 		if cycle >= fetchBlocked && stallResolved() {
 			stallKind = stallNone
-			fetched := 0
 			for fetched < cfg.IssueWidth && count < cfg.ROBSize && !m.Halted {
 				// Shadow-state limit gates fetch past unresolved
 				// speculation. shadowLive is maintained incrementally:
@@ -422,7 +497,12 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				if m.Seq >= h.Limit {
 					return *out, m, abort(h.BudgetErr())
 				}
-				iMiss, err := h.Step(&rec)
+				// The functional machine writes the record straight into
+				// the tail slot.
+				idx := tail
+				e := &rob[idx]
+				rec := &e.rec
+				iMiss, err := h.Step(rec)
 				if err != nil {
 					h.FlushObs(cycle)
 					return *out, m, err
@@ -434,9 +514,6 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 					fetchBlocked = fetchAt
 				}
 				st := &statics[rec.SIdx]
-				idx := tail
-				e := &rob[idx]
-				e.rec = rec
 				e.st = st
 				e.fu = st.FU
 				e.fetchC = fetchAt
@@ -458,6 +535,8 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				if op == isa.Bmiss {
 					e.srcs[2] = ccProd
 				}
+				e.readyAt = -1
+				resolve(e)
 				if st.HasDest {
 					regProd[st.Dest] = producer{idx: idx, seq: rec.Seq, set: true}
 				}
@@ -564,13 +643,38 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		if err := gov.Tick(); err != nil {
 			return *out, m, abort(fmt.Errorf("ooo: %w", err))
 		}
-		cycle++
-		// Shadows whose resolve time is this new cycle stop occupying
-		// shadow state before the coming fetch stage evaluates the gate.
-		if w := shadowWheel[cycle&wheelMask]; w != 0 {
-			shadowLive -= int(w)
-			shadowWheel[cycle&wheelMask] = 0
+		next := cycle + 1
+		if gradN == 0 && issuedN == 0 && fetched == 0 {
+			next = nextCycle()
 		}
+		// Account the skipped cycles, cycle+1 .. next-1, in bulk. Nothing
+		// graduates, issues or fetches in them, so each one would charge
+		// the same cache slots, tick the governor once without a poll and,
+		// from the cycle it passes the front end, charge one issue stall
+		// to the oldest unissued entry (fetch order is age order, so no
+		// younger entry passes it first).
+		if skipped := next - cycle - 1; skipped > 0 {
+			gov.Skip(uint64(skipped))
+			if e := &rob[head]; count > 0 && e.isMiss && e.issued {
+				out.CacheSlots += int64(cfg.IssueWidth) * skipped
+			}
+			if sim != nil && unHead >= 0 {
+				e := &rob[unHead]
+				if from := max(cycle+1, e.fetchC+cfg.FrontDepth); from < next {
+					h.Stalls[e.rec.Inst.Op] += uint64(next - from)
+				}
+			}
+		}
+		// Shadows whose resolve time has come stop occupying shadow state
+		// before the coming fetch stage evaluates the gate. Every pending
+		// resolve lies within one wheel turn.
+		for t := cycle + 1; t <= min(next, cycle+wheelLen); t++ {
+			if w := shadowWheel[t&wheelMask]; w != 0 {
+				shadowLive -= int(w)
+				shadowWheel[t&wheelMask] = 0
+			}
+		}
+		cycle = next
 		if sim != nil && cycle&(pipe.ObsFlushEvery-1) == 0 {
 			h.FlushObs(cycle)
 		}

@@ -8,6 +8,7 @@ import (
 	"informing/internal/isa"
 	"informing/internal/mem"
 	"informing/internal/stats"
+	"informing/internal/workload"
 )
 
 func runCfg(t *testing.T, src string, mutate func(*Config)) stats.Run {
@@ -304,4 +305,46 @@ func loopSrc(cond string) string {
 		addi r16, r16, -1
 		bne r16, r0, top
 		halt`
+}
+
+// TestDeadCycleSkip proves the dead-cycle skip is live: the cycle loop must
+// run markedly fewer iterations than the run has cycles where the window
+// sits behind misses (compress S1), while espresso, whose cycles almost
+// all do work, is the near-bypass control and carries no bound.
+func TestDeadCycleSkip(t *testing.T) {
+	for _, tc := range []struct {
+		bench    string
+		maxRatio float64 // 0 = no bound
+	}{
+		{"compress", 0.75},
+		{"espresso", 0},
+	} {
+		bm, ok := workload.ByName(tc.bench)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", tc.bench)
+		}
+		prog, err := workload.Build(bm, workload.NewPlanSingle(1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Mode = interp.ModeTrap
+		cfg.Trap = TrapAsBranch
+		var iters int64
+		iterationHook = func() { iters++ }
+		r, err := Run(prog, cfg)
+		iterationHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := float64(iters) / float64(r.Cycles)
+		t.Logf("%s S1: %d iterations for %d cycles (%.2f)", tc.bench, iters, r.Cycles, ratio)
+		if tc.maxRatio > 0 && ratio > tc.maxRatio {
+			t.Errorf("%s S1: %d iterations for %d cycles (%.2f), want at most %.2f: dead cycles are not skipped",
+				tc.bench, iters, r.Cycles, ratio, tc.maxRatio)
+		}
+		if iters > r.Cycles {
+			t.Errorf("%s S1: %d iterations exceed %d cycles", tc.bench, iters, r.Cycles)
+		}
+	}
 }
