@@ -142,6 +142,11 @@ type robEntry struct {
 	isMiss  bool // memory op that missed in L1
 	fu      isa.FUClass
 
+	// Entries whose readyAt waits on this entry's issue, chained through
+	// waitNext: each waiting entry sits on the chain of the one producer
+	// its last resolve found unissued. -1 terminates.
+	waitHead, waitNext int32
+
 	st      *isa.Static // predecoded classification of rec.Inst (never nil)
 	srcs    [3]producer // register producers (up to 2) + CC producer for BMISS
 	nsrc    int
@@ -250,11 +255,17 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		return h.Abort(cause, snap)
 	}
 
-	// resolve caches e.readyAt once every live producer has issued. A
-	// producer whose slot has graduated or been reused holds a value
-	// long available and adds nothing.
-	resolve := func(e *robEntry) {
+	// resolve sets rob[i].readyAt once every live producer has issued. A
+	// producer whose slot has graduated or been reused holds a value long
+	// available and adds nothing. Otherwise the entry waits on the chain
+	// of the first unissued producer, whose issue resolves it again.
+	resolve := func(i int) {
+		e := &rob[i]
 		t := e.fetchC + cfg.FrontDepth
+		wait := func(p int) {
+			e.waitNext = rob[p].waitHead
+			rob[p].waitHead = int32(i)
+		}
 		for s := 0; s < e.nsrc; s++ {
 			p := e.srcs[s]
 			if !p.set {
@@ -265,6 +276,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				continue
 			}
 			if !pe.issued {
+				wait(p.idx)
 				return
 			}
 			t = max(t, pe.compC)
@@ -273,6 +285,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			pe := &rob[p.idx]
 			if pe.rec.Seq == p.seq && !pe.grad {
 				if !pe.issued {
+					wait(p.idx)
 					return
 				}
 				t = max(t, pe.tagC)
@@ -324,10 +337,7 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 		for at := unHead; at >= 0; at = rob[at].nextUn {
 			e := &rob[at]
 			if e.readyAt < 0 {
-				resolve(e)
-				if e.readyAt < 0 {
-					continue // waits for a producer's issue, itself an event
-				}
+				continue // waits for a producer's issue, itself an event
 			}
 			if e.rec.Inst.Op == isa.Mfcnt && int(at) != head {
 				continue // waits for graduation, itself an event
@@ -410,23 +420,17 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			e := &rob[at]
 			next := e.nextUn
 			if e.fetchC+cfg.FrontDepth > cycle {
-				at = next
-				continue
+				// Still in the front end, and so is every younger entry:
+				// fetch order is age order, so fetchC never falls along
+				// the list.
+				break
 			}
-			if fuUsed[e.fu] >= cfg.Units[e.fu] {
-				if sim != nil && !stallCharged {
-					stallCharged = true
-					h.Stalls[e.rec.Inst.Op]++
-				}
-				at = next
-				continue
-			}
-			if e.readyAt < 0 {
-				resolve(e)
-			}
-			// Counter reads serialize the pipeline (§1): MFCNT issues
-			// only from the head of the reorder buffer.
-			if e.readyAt < 0 || e.readyAt > cycle || e.rec.Inst.Op == isa.Mfcnt && int(at) != head {
+			// The oldest entry past the front end that cannot issue takes
+			// the cycle's one stall charge. Counter reads serialize the
+			// pipeline (§1): MFCNT issues only from the head of the
+			// reorder buffer.
+			if e.readyAt < 0 || e.readyAt > cycle || fuUsed[e.fu] >= cfg.Units[e.fu] ||
+				e.rec.Inst.Op == isa.Mfcnt && int(at) != head {
 				if sim != nil && !stallCharged {
 					stallCharged = true
 					h.Stalls[e.rec.Inst.Op]++
@@ -463,6 +467,11 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 			e.issueC = cycle
 			e.issued = true
 			unlink(at)
+			for w := e.waitHead; w >= 0; {
+				nw := rob[w].waitNext
+				resolve(int(w))
+				w = nw
+			}
 			if e.shadow {
 				// The resolve time is now known; schedule the live-count
 				// decrement (or apply it, if already resolved this cycle).
@@ -535,8 +544,8 @@ func RunDetailed(prog *isa.Program, cfg Config) (stats.Run, *interp.Machine, err
 				if op == isa.Bmiss {
 					e.srcs[2] = ccProd
 				}
-				e.readyAt = -1
-				resolve(e)
+				e.readyAt, e.waitHead = -1, -1
+				resolve(idx)
 				if st.HasDest {
 					regProd[st.Dest] = producer{idx: idx, seq: rec.Seq, set: true}
 				}
