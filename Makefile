@@ -41,20 +41,26 @@ fuzz:
 fuzz-diff:
 	$(GO) test -run=^$$ -fuzz=FuzzCrossEngine -fuzztime=10s ./internal/progen
 
-# bench regenerates the committed hot-path report (EXPERIMENTS.md "Hot-path
-# benchmarks"): ns/inst, allocs/inst and cells/sec for the per-instruction
-# pipeline, with speedups against the committed pre-optimization baseline.
+# bench regenerates the committed hot-path ledger (EXPERIMENTS.md "Hot-path
+# benchmarks"): the raw output of the Go hot-path benchmarks
+# (internal/core/hotpath_bench_test.go; ns/inst, B/op, allocs/op), five
+# runs each, headed by the toolchain version. benchstat reads it as is.
+# A failing benchmark fails the target and leaves the ledger untouched.
 bench:
-	$(GO) run ./cmd/hotpathbench -label optimized -repeat 5 \
-		-baseline BENCH_hotpath_baseline.json -out BENCH_hotpath.json
+	{ echo "go: $$($(GO) env GOVERSION)"; \
+		$(GO) test -run '^$$' -bench Hotpath -benchmem -count 5 ./internal/core; } > /tmp/bench_hotpath.txt
+	cp /tmp/bench_hotpath.txt BENCH_hotpath.txt
 
-# bench-gate is the CI perf regression check: re-measure and fail if any
-# measurement present in both reports regressed beyond its threshold
-# against the committed BENCH_hotpath.json (10% for full cells, wider
-# built-in bounds for the microbenchmarks; see cmd/benchdiff).
+# bench-gate is the CI perf regression check: re-run the same benchmarks
+# three times, and fail if one of them fails, if a committed measurement
+# is missing from the run, or if the best of a measurement's runs
+# regressed beyond its threshold against the committed BENCH_hotpath.txt
+# (10% for full cells, wider built-in bounds for the microbenchmarks; see
+# cmd/benchdiff).
 bench-gate:
-	$(GO) run ./cmd/hotpathbench -label gate -repeat 3 -out /tmp/bench_gate.json
-	$(GO) run ./cmd/benchdiff -committed BENCH_hotpath.json -fresh /tmp/bench_gate.json
+	$(GO) test -run '^$$' -bench Hotpath -benchmem -count 3 ./internal/core > /tmp/bench_gate.txt \
+		|| { cat /tmp/bench_gate.txt; exit 1; }
+	$(GO) run ./cmd/benchdiff -committed BENCH_hotpath.txt -fresh /tmp/bench_gate.txt
 
 # fig3-golden extracts what `handlerbench -experiment fig3 -raw` must
 # print: the committed "Figure 3: su2cor with generic miss handlers" block
@@ -178,7 +184,11 @@ policy-smoke: fig3-golden
 # §4.3.2 sweep). paper-check regenerates the same output at default -j
 # into a temp file and requires it byte-identical to the committed one,
 # so a change that shifts one cycle in any cell the paper reports shows
-# up as a table diff.
+# up as a table diff. paper-check also holds EXPERIMENTS.md's "§6 case
+# study" table to the out-of-order block under "Miss taxonomy under
+# prefetch handlers", found by its header and ending with its blank line:
+# every markdown row must carry its raw row's l1miss, compulsory,
+# capacity, conflict and norm.
 paper-gen:
 	$(GO) build -o /tmp/handlerbench ./cmd/handlerbench
 	$(GO) build -o /tmp/coherencebench ./cmd/coherencebench
@@ -190,6 +200,18 @@ paper-tables: paper-gen
 
 paper-check: paper-gen
 	cmp /tmp/paper_tables.txt docs_experiments_raw.txt
+	awk 'NR == FNR && /^Miss taxonomy under prefetch handlers$$/ { tax = 1 } \
+		NR == FNR && tax && /^--- out-of-order machine ---$$/ { ooo = 1; next } \
+		NR == FNR && ooo && NF == 0 { tax = ooo = 0 } \
+		NR == FNR && ooo && $$1 != "benchmark" { raw[$$1 " " $$2] = $$3 " " $$4 " " $$5 " " $$6 " " $$8; nraw++ } \
+		NR == FNR { next } \
+		/^### §6 case study/ { sec = 1; next } \
+		sec && /^#/ { sec = 0 } \
+		sec && /^\| [a-z]/ && !/^\| benchmark / { gsub(/\|/, " "); rows++; \
+			if (raw[$$1 " " $$2] != $$3 " " $$4 " " $$5 " " $$6 " " $$7) { \
+				print "paper-check: EXPERIMENTS.md §6 row " $$1 " " $$2 " differs from docs_experiments_raw.txt" > "/dev/stderr"; bad = 1 } } \
+		END { if (!nraw || !rows) { print "paper-check: §6 prefetch table not found" > "/dev/stderr"; bad = 1 } exit bad }' \
+		docs_experiments_raw.txt EXPERIMENTS.md
 
 # verify is the full CI gate: build, gofmt, vet, race-enabled tests, fuzz
 # seeds, the paper tables. The short passes over the timing cores'

@@ -1,23 +1,27 @@
 package core
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
 	"informing/internal/interp"
 	"informing/internal/isa"
 	"informing/internal/mem"
+	"informing/internal/obs"
 	"informing/internal/workload"
 )
 
-// Hot-path micro/macro benchmarks (DESIGN.md §10). Run with
+// Hot-path micro/macro benchmarks (DESIGN.md §10), the one definition of
+// each hot-path measurement. Run with
 //
-//	go test -bench 'Hotpath' -benchmem ./internal/core
+//	go test -run '^$' -bench Hotpath -benchmem ./internal/core
 //
-// cmd/hotpathbench records the same measurements into BENCH_hotpath.json
-// for the committed before/after regression baseline; these testing.B
-// forms are for interactive work and for the CI allocation assertion
-// (TestTimingHotLoopAllocationFree below).
+// `make bench` records their output (-count 5) as the committed ledger
+// BENCH_hotpath.txt, and `make bench-gate` re-runs them (-count 3) and
+// has cmd/benchdiff compare the best of each against it: ns/inst where a
+// benchmark reports it, ns/op otherwise. TestTimingHotLoopAllocationFree
+// below is the allocation gate for the same pipeline.
 
 func buildBench(b *testing.B, bench string, plan workload.Plan) *isa.Program {
 	b.Helper()
@@ -88,6 +92,7 @@ func BenchmarkHotpathDataMemWalk(b *testing.B) {
 func BenchmarkHotpathInterpRun(b *testing.B) {
 	prog := buildBench(b, "espresso", workload.NewPlanNone())
 	b.ReportAllocs()
+	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
 		hier, err := mem.NewHierarchy(mem.HierConfig{
@@ -110,6 +115,7 @@ func benchTimingCell(b *testing.B, cfg Config, bench string, plan workload.Plan)
 	b.Helper()
 	prog := buildBench(b, bench, plan)
 	b.ReportAllocs()
+	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
 		run, err := cfg.WithMaxInsts(100_000_000).Run(prog)
@@ -127,6 +133,17 @@ func BenchmarkHotpathOOOCell(b *testing.B) {
 	benchTimingCell(b, R10000(TrapBranch), "compress", workload.NewPlanSingle(1))
 }
 
+// BenchmarkHotpathOOOCellObs is BenchmarkHotpathOOOCell with
+// observability on: the metrics registry plus a JSONL trace keeping 1 in
+// 64 events. Its ns/inst over the plain cell's is the enabled-path
+// overhead DESIGN.md §11 bounds at 10%.
+func BenchmarkHotpathOOOCellObs(b *testing.B) {
+	sink := obs.NewJSONL(io.Discard, 1)
+	defer sink.Close()
+	cfg := R10000(TrapBranch).WithObs(obs.NewSim()).WithTrace(sink.Emit).WithTraceEvery(64)
+	benchTimingCell(b, cfg, "compress", workload.NewPlanSingle(1))
+}
+
 // BenchmarkHotpathInorderCell measures one full in-order timing cell
 // (tomcatv, single-instruction handler).
 func BenchmarkHotpathInorderCell(b *testing.B) {
@@ -135,21 +152,27 @@ func BenchmarkHotpathInorderCell(b *testing.B) {
 
 // BenchmarkHotpathFig2Cell measures one cell of the Figure-2 sweep:
 // the uninstrumented baseline run plus the instrumented run the figure
-// normalises against it.
+// normalises against it, per dynamic instruction of the two runs.
 func BenchmarkHotpathFig2Cell(b *testing.B) {
 	base := buildBench(b, "compress", workload.NewPlanNone())
 	instr := buildBench(b, "compress", workload.NewPlanSingle(1))
 	cfg := R10000(TrapBranch).WithMaxInsts(100_000_000)
 	off := R10000(Off).WithMaxInsts(100_000_000)
 	b.ReportAllocs()
+	b.ResetTimer()
+	var insts uint64
 	for i := 0; i < b.N; i++ {
-		if _, err := off.Run(base); err != nil {
+		r1, err := off.Run(base)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cfg.Run(instr); err != nil {
+		r2, err := cfg.Run(instr)
+		if err != nil {
 			b.Fatal(err)
 		}
+		insts += r1.DynInsts + r2.DynInsts
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
 }
 
 // TestTimingHotLoopAllocationFree is the CI allocation regression gate:

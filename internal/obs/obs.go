@@ -10,10 +10,10 @@
 // The overhead contract (DESIGN.md §11) is strict in one direction: with
 // observability disabled (a nil *Sim handle, a nil trace callback) the
 // engines' per-instruction hot path must stay allocation-free and within
-// noise of the recorded BENCH_hotpath.json numbers. With metrics and
-// 1-in-N trace sampling enabled the engines pay a handful of atomic adds
-// per instruction — bounded, measured, and proven not to change a single
-// measured statistic (see TestObsNeverChangesStats in internal/core).
+// noise of the BENCH_hotpath.txt ledger (`make bench`). With metrics and
+// 1-in-N trace sampling the engines pay a handful of atomic adds per
+// instruction — bounded (BenchmarkHotpathOOOCellObs in internal/core) and
+// proven not to change a single measured statistic (TestObsNeverChangesStats).
 //
 // All counters and histogram cells are updated with atomic operations so
 // the HTTP endpoint and the progress reporter can read a live simulation
