@@ -214,10 +214,11 @@ paper-check: paper-gen
 		docs_experiments_raw.txt EXPERIMENTS.md
 
 # verify is the full CI gate: build, gofmt, vet, race-enabled tests, fuzz
-# seeds, the paper tables. The short passes over the timing cores'
-# hot-path benchmarks, the trace parser's and the replay sweep's keep the
-# benchmarks behind EXPERIMENTS.md "Hot-path benchmarks", "Ingest speed"
-# and "Replay sweep speed" running.
+# seeds, the smoke lanes (cluster and chaos included), the paper tables.
+# The short passes over the timing cores' hot-path benchmarks, the trace
+# parser's and the replay sweep's keep the benchmarks behind
+# EXPERIMENTS.md "Hot-path benchmarks", "Ingest speed" and "Replay sweep
+# speed" running.
 verify: build
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -232,6 +233,8 @@ verify: build
 	$(MAKE) obs-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) policy-smoke
+	$(MAKE) cluster-smoke
+	$(MAKE) chaos-smoke
 	$(MAKE) paper-check
 
 clean:

@@ -84,6 +84,10 @@ func BenchmarkFig2FullSweep(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full sweep is heavy")
 	}
+	fig2, err := experiments.Named("fig2")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, workers := range []int{1, 0} {
 		workers := workers
 		b.Run(fmt.Sprintf("j=%d", sched.Workers(workers)), func(b *testing.B) {
@@ -91,7 +95,7 @@ func BenchmarkFig2FullSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := experiments.DefaultOptions()
 				opt.Workers = workers
-				res, err := experiments.Figure2(opt)
+				res, err := experiments.HandlerOverhead(fig2.Benchmarks, fig2.Specs, opt)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"informing/internal/interp"
+	"informing/internal/isa"
 	"informing/internal/stats"
 	"informing/internal/workload"
 )
@@ -14,14 +15,88 @@ import (
 // The hot-path optimisation contract: way/line memoization in mem, the
 // MRU-page memo in isa.DataMem and the predecoded dispatch in interp must
 // leave every measured statistic and every bit of final architectural
-// state unchanged. This file pins stats.Run and a fingerprint of the final
-// machine state for a grid of workload × machine × plan cells, captured
-// from the pre-optimisation reference implementation (commit e566950).
+// state unchanged. TestHotpathGolden pins stats.Run and a fingerprint of
+// the final machine state for a grid of workload × machine × plan cells,
+// captured from the pre-optimisation reference implementation (commit
+// e566950).
 //
-// Regenerate the table (only when intentionally changing simulator
+// Every golden test of this package checks its cells against the one
+// table in golden_data_test.go, through runCell and checkRow. Regenerate
+// the whole map body (only when intentionally changing simulator
 // semantics) with:
 //
-//	HOTPATH_GOLDEN_PRINT=1 go test -run TestHotpathGolden ./internal/core | grep '^\t'
+//	GOLDEN_PRINT=1 go test -run 'Golden|TestObsNeverChangesStats' ./internal/core -v | awk '/^\t/'
+//
+// The golden-grid rows are printed by TestObsNeverChangesStats, whose
+// observed run yields the whole row, stall column included;
+// TestHotpathGolden then holds the plain run to the same rows.
+
+// goldenRow is one row of the golden table.
+type goldenRow struct {
+	run         stats.Run
+	fingerprint uint64
+	stalls      string // per-opcode issue stalls; golden-grid rows only
+}
+
+// goldenPrint makes every golden test print its rows instead of checking
+// them.
+var goldenPrint = os.Getenv("GOLDEN_PRINT") != ""
+
+// pinnedCell is one cell of the golden table: the key of its row, and
+// the machine and program it runs.
+type pinnedCell interface {
+	key() string
+	setup(t *testing.T) (Config, *isa.Program)
+}
+
+// runCell builds c's machine and program, passes the config through mod
+// (if not nil), runs it, checks the run's counter invariants and the
+// miss-taxonomy conservation (which §3.3 speculative injection
+// legitimately breaks), and returns the run and the fingerprint of the
+// final machine state.
+func runCell(t *testing.T, c pinnedCell, mod func(Config) Config) (stats.Run, uint64) {
+	t.Helper()
+	cfg, prog := c.setup(t)
+	if mod != nil {
+		cfg = mod(cfg)
+	}
+	run, m, err := cfg.RunDetailed(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Machine == InOrder || cfg.OOO.SpecInjectEvery == 0 {
+		if err := run.CheckTaxonomy(); err != nil {
+			t.Error(err)
+		}
+	}
+	return run, machineFingerprint(m)
+}
+
+// checkRow holds got, a fresh run of the cell named key, to its pinned
+// row: it reports a missing row, a diverged run and a diverged
+// fingerprint, and returns the row. Under GOLDEN_PRINT it prints got as
+// the row instead, and returns got.
+func checkRow(t *testing.T, key string, got goldenRow) goldenRow {
+	t.Helper()
+	if goldenPrint {
+		fmt.Printf("\t%q: {%#v, %#x, %q},\n", key, got.run, got.fingerprint, got.stalls)
+		return got
+	}
+	want, ok := golden[key]
+	if !ok {
+		t.Fatalf("no golden row for %s (regenerate with GOLDEN_PRINT=1)", key)
+	}
+	if got.run != want.run {
+		t.Errorf("stats.Run diverged from the pinned row:\n got: %+v\nwant: %+v", got.run, want.run)
+	}
+	if got.fingerprint != want.fingerprint {
+		t.Errorf("final architectural state diverged: fingerprint %#x, want %#x", got.fingerprint, want.fingerprint)
+	}
+	return want
+}
 
 type goldenCell struct {
 	bench   string
@@ -46,6 +121,23 @@ func goldenCells() []goldenCell {
 
 func (c goldenCell) key() string {
 	return fmt.Sprintf("%s/%s/%s/%s", c.bench, c.machine, c.scheme, c.plan().Name())
+}
+
+func (c goldenCell) setup(t *testing.T) (Config, *isa.Program) {
+	t.Helper()
+	bm, ok := workload.ByName(c.bench)
+	if !ok {
+		t.Fatalf("unknown benchmark %s", c.bench)
+	}
+	prog, err := workload.Build(bm, c.plan(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := R10000(c.scheme)
+	if c.machine == InOrder {
+		cfg = Alpha21164(c.scheme)
+	}
+	return cfg.WithMaxInsts(100_000_000), prog
 }
 
 // machineFingerprint hashes the complete final architectural state:
@@ -86,92 +178,20 @@ func machineFingerprint(m *interp.Machine) uint64 {
 	return h
 }
 
-// runGoldenCell runs a golden cell under a named replacement policy
-// ("" = the default true-LRU path; see TestPolicyGolden).
-func runGoldenCell(t *testing.T, c goldenCell, policy string) (stats.Run, uint64) {
-	t.Helper()
-	bm, ok := workload.ByName(c.bench)
-	if !ok {
-		t.Fatalf("unknown benchmark %s", c.bench)
-	}
-	prog, err := workload.Build(bm, c.plan(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfg Config
-	if c.machine == InOrder {
-		cfg = Alpha21164(c.scheme)
-	} else {
-		cfg = R10000(c.scheme)
-	}
-	run, m, err := cfg.WithPolicy(policy).WithMaxInsts(100_000_000).RunDetailed(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run.Check(); err != nil {
-		t.Fatal(err)
-	}
-	return run, machineFingerprint(m)
-}
-
 // TestHotpathGolden replays every cell and demands byte-identical
 // statistics and architectural state versus the recorded reference.
 func TestHotpathGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden grid is heavy")
 	}
-	printMode := os.Getenv("HOTPATH_GOLDEN_PRINT") != ""
+	if goldenPrint {
+		t.Skip("TestObsNeverChangesStats prints the golden-grid rows")
+	}
 	for _, c := range goldenCells() {
 		c := c
 		t.Run(c.key(), func(t *testing.T) {
-			run, fp := runGoldenCell(t, c, "")
-			// The taxonomy conservation invariant holds on every golden
-			// cell: the per-level classes sum exactly to the per-level
-			// miss counters.
-			if err := run.CheckTaxonomy(); err != nil {
-				t.Error(err)
-			}
-			// The legacy table predates the miss taxonomy (its entries
-			// carry zero classes); compare against it with the taxonomy
-			// masked so the pre-PR pin stays untouched, and pin the
-			// taxonomy itself in hotpathTaxGolden.
-			legacy := run
-			legacy.L1Tax, legacy.L2Tax = stats.MissClasses{}, stats.MissClasses{}
-			if printMode {
-				fmt.Printf("\t%q: {%#v, %#x},\n", c.key(), legacy, fp)
-				fmt.Printf("\tTAX %q: {%#v, %#v},\n", c.key(), run.L1Tax, run.L2Tax)
-				return
-			}
-			want, ok := hotpathGolden[c.key()]
-			if !ok {
-				t.Fatalf("no golden entry for %s (regenerate with HOTPATH_GOLDEN_PRINT=1)", c.key())
-			}
-			if legacy != want.run {
-				t.Errorf("stats.Run diverged from pre-optimization reference:\n got: %+v\nwant: %+v", legacy, want.run)
-			}
-			if fp != want.fingerprint {
-				t.Errorf("final architectural state diverged: fingerprint %#x, want %#x", fp, want.fingerprint)
-			}
-			wantTax, ok := hotpathTaxGolden[c.key()]
-			if !ok {
-				t.Fatalf("no taxonomy golden entry for %s (regenerate with HOTPATH_GOLDEN_PRINT=1)", c.key())
-			}
-			if run.L1Tax != wantTax.l1 || run.L2Tax != wantTax.l2 {
-				t.Errorf("miss taxonomy diverged:\n got: L1{%v} L2{%v}\nwant: L1{%v} L2{%v}",
-					run.L1Tax, run.L2Tax, wantTax.l1, wantTax.l2)
-			}
+			run, fp := runCell(t, c, nil)
+			checkRow(t, c.key(), goldenRow{run: run, fingerprint: fp})
 		})
 	}
-}
-
-type goldenEntry struct {
-	run         stats.Run
-	fingerprint uint64
-}
-
-// taxEntry pins the per-level miss taxonomy of a golden cell (the legacy
-// goldenEntry table predates the taxonomy and is deliberately left
-// untouched — matching it under the default policy is the point).
-type taxEntry struct {
-	l1, l2 stats.MissClasses
 }

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
 	"informing/internal/faults"
 	"informing/internal/interp"
+	"informing/internal/isa"
 	"informing/internal/progen"
 )
 
@@ -17,14 +17,10 @@ import (
 // latency jitter, a machine without an instruction cache and one with
 // two branch shadow states, where the shadow gate binds. Each row is
 // one progen seed on one machine with a seed-derived subset of the knobs
-// on (knobsOn). The table holds the full stats.Run (miss taxonomy
+// on (knobsOn). The rows hold the full stats.Run (miss taxonomy
 // included) and the final architectural fingerprint, so a scheduler
 // change that shifts one stall by a cycle under a rarely used knob shows
-// up here.
-//
-// Regenerate (only when intentionally changing simulator semantics) with:
-//
-//	KNOB_GOLDEN_PRINT=1 go test -run TestKnobGolden ./internal/core -v | grep '^\t'
+// up here. They live in the one golden table (golden_data_test.go).
 
 // knob is one core knob of the golden table.
 type knob uint8
@@ -85,8 +81,9 @@ func (c knobCell) key() string {
 	return fmt.Sprintf("seed%02d/%s/%s", c.seed, c.machine, strings.Join(names, "+"))
 }
 
-// config builds the cell's machine for program p.
-func (c knobCell) config(p *progen.Program) Config {
+// setup generates the cell's program and builds its machine.
+func (c knobCell) setup(t *testing.T) (Config, *isa.Program) {
+	p := progen.Generate(c.seed)
 	scheme := Off
 	switch p.Mode {
 	case progen.Trap:
@@ -127,14 +124,13 @@ func (c knobCell) config(p *progen.Program) Config {
 	if c.on[knobFewShadows] {
 		cfg.OOO.ShadowStates = 2
 	}
-	return cfg
+	return cfg, p.Prog
 }
 
 func TestKnobGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("knob golden table is heavy")
 	}
-	printMode := os.Getenv("KNOB_GOLDEN_PRINT") != ""
 	for k := knob(0); k < numKnobs; k++ {
 		rows := 0
 		for i := 0; i < knobGoldenSeeds; i++ {
@@ -149,44 +145,40 @@ func TestKnobGolden(t *testing.T) {
 	for _, c := range knobGoldenCells() {
 		c := c
 		t.Run(c.key(), func(t *testing.T) {
-			p := progen.Generate(c.seed)
-			run, m, err := c.config(p).RunDetailed(p.Prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := run.Check(); err != nil {
-				t.Fatal(err)
-			}
-			fp := machineFingerprint(m)
-			if printMode {
-				fmt.Printf("\t%q: {%#v, %#x},\n", c.key(), run, fp)
-				return
-			}
-			want, ok := knobGolden[c.key()]
-			if !ok {
-				t.Fatalf("no golden entry for %s (regenerate with KNOB_GOLDEN_PRINT=1)", c.key())
-			}
-			if run != want.run {
-				t.Errorf("stats.Run diverged:\n got: %+v\nwant: %+v", run, want.run)
-			}
-			if fp != want.fingerprint {
-				t.Errorf("final architectural state diverged: fingerprint %#x, want %#x", fp, want.fingerprint)
-			}
+			run, fp := runCell(t, c, nil)
+			checkRow(t, c.key(), goldenRow{run: run, fingerprint: fp})
 		})
 	}
 }
 
-// TestKnobGoldenTableComplete keeps the pinned table and the cell list in
-// step: every entry names a cell, so a renamed knob or a shrunk seed
-// range cannot leave silently unchecked rows behind.
+// TestKnobGoldenTableComplete keeps the golden table and the cell lists
+// in step: every row names a cell and every cell has a row, so a renamed
+// knob or a shrunk cell list cannot leave silently unchecked rows behind.
 func TestKnobGoldenTableComplete(t *testing.T) {
-	cells := knobGoldenCells()
-	if len(knobGolden) != len(cells) {
-		t.Fatalf("knob golden table has %d entries, want %d", len(knobGolden), len(cells))
+	cells := map[string]bool{}
+	add := func(key string) {
+		if cells[key] {
+			t.Errorf("two cells share the key %s", key)
+		}
+		cells[key] = true
 	}
-	for _, c := range cells {
-		if _, ok := knobGolden[c.key()]; !ok {
-			t.Errorf("no golden entry for %s", c.key())
+	for _, c := range goldenCells() {
+		add(c.key())
+	}
+	for _, c := range policyGoldenCells() {
+		add(c.key())
+	}
+	for _, c := range knobGoldenCells() {
+		add(c.key())
+	}
+	for key := range golden {
+		if !cells[key] {
+			t.Errorf("golden row %s names no cell", key)
+		}
+	}
+	for key := range cells {
+		if _, ok := golden[key]; !ok {
+			t.Errorf("no golden row for %s", key)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -16,72 +15,30 @@ import (
 	"informing/internal/workload"
 )
 
-// runObsCell is runGoldenCell with the configuration passed through mod
-// before running, so the observability property test can compare enabled
-// and disabled runs over the exact golden grid.
-func runObsCell(t *testing.T, c goldenCell, mod func(Config) Config) (stats.Run, uint64) {
-	t.Helper()
-	bm, ok := workload.ByName(c.bench)
-	if !ok {
-		t.Fatalf("unknown benchmark %s", c.bench)
-	}
-	prog, err := workload.Build(bm, c.plan(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfg Config
-	if c.machine == InOrder {
-		cfg = Alpha21164(c.scheme)
-	} else {
-		cfg = R10000(c.scheme)
-	}
-	cfg = mod(cfg.WithMaxInsts(100_000_000))
-	run, m, err := cfg.RunDetailed(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run.Check(); err != nil {
-		t.Fatal(err)
-	}
-	return run, machineFingerprint(m)
-}
-
 // TestObsNeverChangesStats is the observability analogue of the hot-path
 // golden contract: enabling the metrics registry and sampled tracing must
 // not change a single measured statistic or any bit of final architectural
 // state, on any cell of the golden grid. Observation, not perturbation.
-// It also pins every cell's per-opcode issue-stall totals
-// (obsStallsGolden), the one counter only an observed run computes.
-//
-// Regenerate the stall table (only when intentionally changing simulator
-// semantics) with:
-//
-//	OBS_STALLS_GOLDEN_PRINT=1 go test -run TestObsNeverChangesStats ./internal/core -v | grep '^\t'
+// The observed run is held to the same golden row TestHotpathGolden holds
+// the plain run to, so the two agree through the table. The row also pins
+// the cell's per-opcode issue-stall totals, the one counter only an
+// observed run computes. Under GOLDEN_PRINT this test prints the
+// golden-grid rows (see hotpath_golden_test.go).
 func TestObsNeverChangesStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden grid is heavy")
 	}
-	printStalls := os.Getenv("OBS_STALLS_GOLDEN_PRINT") != ""
 	for _, c := range goldenCells() {
 		c := c
 		t.Run(c.key(), func(t *testing.T) {
-			plain, plainFP := runObsCell(t, c, func(cfg Config) Config { return cfg })
-
 			sim := obs.NewSim()
 			ring, err := obs.NewRing(256, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			observed, obsFP := runObsCell(t, c, func(cfg Config) Config {
+			observed, fp := runCell(t, c, func(cfg Config) Config {
 				return cfg.WithObs(sim).WithTrace(ring.Emit).WithTraceEvery(7)
 			})
-
-			if plain != observed {
-				t.Errorf("stats.Run changed with observability on:\n off: %+v\n  on: %+v", plain, observed)
-			}
-			if plainFP != obsFP {
-				t.Errorf("final architectural state changed with observability on: %#x vs %#x", plainFP, obsFP)
-			}
 			// The metrics must agree with the run they watched.
 			if got := sim.Instrs.Load(); got != observed.Instrs {
 				t.Errorf("sim_instrs = %d, run graduated %d", got, observed.Instrs)
@@ -101,14 +58,8 @@ func TestObsNeverChangesStats(t *testing.T) {
 					total, observed.Instrs, observed.Instrs/7)
 			}
 			stalls := issueStalls(sim)
-			if printStalls {
-				fmt.Printf("\t%q: %q,\n", c.key(), stalls)
-				return
-			}
-			if want, ok := obsStallsGolden[c.key()]; !ok {
-				t.Errorf("no issue-stall golden entry for %s (regenerate with OBS_STALLS_GOLDEN_PRINT=1)", c.key())
-			} else if stalls != want {
-				t.Errorf("per-opcode issue stalls diverged:\n got: %s\nwant: %s", stalls, want)
+			if want := checkRow(t, c.key(), goldenRow{observed, fp, stalls}); stalls != want.stalls {
+				t.Errorf("per-opcode issue stalls diverged:\n got: %s\nwant: %s", stalls, want.stalls)
 			}
 		})
 	}

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"os"
 	"testing"
 
+	"informing/internal/isa"
 	"informing/internal/workload"
 )
 
@@ -17,50 +16,46 @@ import (
 // the MissCounter register, which is architecturally visible and
 // legitimately policy-dependent.)
 //
-// Regenerate (only when intentionally changing simulator semantics) with:
-//
-//	POLICY_GOLDEN_PRINT=1 go test -run TestPolicyGolden ./internal/core -v | grep '^\t'
+// The rows live in the one golden table (golden_data_test.go).
 
-func policyGoldenCells() []goldenCell {
-	return []goldenCell{
-		{"compress", OutOfOrder, Off, func() workload.Plan { return workload.NewPlanNone() }},
-		{"compress", InOrder, Off, func() workload.Plan { return workload.NewPlanNone() }},
-		{"tomcatv", OutOfOrder, Off, func() workload.Plan { return workload.NewPlanNone() }},
-		{"compress", OutOfOrder, TrapBranch, func() workload.Plan { return workload.NewPlanSingle(1) }},
+// policyCell is a golden-grid cell run under a named replacement policy.
+type policyCell struct {
+	policy string
+	goldenCell
+}
+
+func (c policyCell) key() string { return c.policy + "/" + c.goldenCell.key() }
+
+func (c policyCell) setup(t *testing.T) (Config, *isa.Program) {
+	cfg, prog := c.goldenCell.setup(t)
+	return cfg.WithPolicy(c.policy), prog
+}
+
+func policyGoldenCells() []policyCell {
+	var cells []policyCell
+	for _, policy := range []string{"srrip", "brrip", "trrip"} {
+		for _, c := range []goldenCell{
+			{"compress", OutOfOrder, Off, func() workload.Plan { return workload.NewPlanNone() }},
+			{"compress", InOrder, Off, func() workload.Plan { return workload.NewPlanNone() }},
+			{"tomcatv", OutOfOrder, Off, func() workload.Plan { return workload.NewPlanNone() }},
+			{"compress", OutOfOrder, TrapBranch, func() workload.Plan { return workload.NewPlanSingle(1) }},
+		} {
+			cells = append(cells, policyCell{policy, c})
+		}
 	}
+	return cells
 }
 
 func TestPolicyGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden grid is heavy")
 	}
-	printMode := os.Getenv("POLICY_GOLDEN_PRINT") != ""
-	for _, policy := range []string{"srrip", "brrip", "trrip"} {
-		policy := policy
-		for _, c := range policyGoldenCells() {
-			c := c
-			key := policy + "/" + c.key()
-			t.Run(key, func(t *testing.T) {
-				run, fp := runGoldenCell(t, c, policy)
-				if err := run.CheckTaxonomy(); err != nil {
-					t.Error(err)
-				}
-				if printMode {
-					fmt.Printf("\t%q: {%#v, %#x},\n", key, run, fp)
-					return
-				}
-				want, ok := policyGolden[key]
-				if !ok {
-					t.Fatalf("no golden entry for %s (regenerate with POLICY_GOLDEN_PRINT=1)", key)
-				}
-				if run != want.run {
-					t.Errorf("stats.Run diverged from pinned reference:\n got: %+v\nwant: %+v", run, want.run)
-				}
-				if fp != want.fingerprint {
-					t.Errorf("final architectural state diverged: fingerprint %#x, want %#x", fp, want.fingerprint)
-				}
-			})
-		}
+	for _, c := range policyGoldenCells() {
+		c := c
+		t.Run(c.key(), func(t *testing.T) {
+			run, fp := runCell(t, c, nil)
+			checkRow(t, c.key(), goldenRow{run: run, fingerprint: fp})
+		})
 	}
 }
 
@@ -77,7 +72,6 @@ func TestPolicyArchitecturalNeutrality(t *testing.T) {
 		t.Skip("golden grid is heavy")
 	}
 	cell := goldenCell{"compress", OutOfOrder, Off, func() workload.Plan { return workload.NewPlanNone() }}
-	bm, _ := workload.ByName(cell.bench)
 	type arch struct {
 		pc, seq, memFP uint64
 		g              [32]uint64
@@ -87,11 +81,8 @@ func TestPolicyArchitecturalNeutrality(t *testing.T) {
 	var base arch
 	varied := false
 	for i, policy := range []string{"", "srrip", "brrip", "trrip"} {
-		prog, err := workload.Build(bm, cell.plan(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, m, err := R10000(cell.scheme).WithPolicy(policy).WithMaxInsts(100_000_000).RunDetailed(prog)
+		cfg, prog := policyCell{policy, cell}.setup(t)
+		_, m, err := cfg.RunDetailed(prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,12 +136,15 @@ func parseK(s string) (int, error) {
 	return k, nil
 }
 
-// ConfigFor exposes the machine-configuration choice HandlerOverhead makes
-// for each cell (R10000 for out-of-order, Alpha21164 for in-order) to the
-// serving layer, so a served cell runs under exactly the configuration the
-// harness would use.
+// ConfigFor is the machine configuration HandlerOverhead runs each cell
+// under (R10000 for out-of-order, Alpha21164 for in-order). The serving
+// layer calls it too, so a served cell runs under exactly the
+// configuration the harness would use.
 func ConfigFor(machine core.Machine, scheme core.Scheme) core.Config {
-	return configFor(machine, scheme)
+	if machine == core.InOrder {
+		return core.Alpha21164(scheme)
+	}
+	return core.R10000(scheme)
 }
 
 // NamedExperiment is one of the table-shaped §4.2 experiments, resolved by

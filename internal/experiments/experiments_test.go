@@ -26,6 +26,20 @@ func pickBench(t *testing.T, name string) []workload.Benchmark {
 	return []workload.Benchmark{bm}
 }
 
+// runNamed runs the Named experiment name under tinyOptions.
+func runNamed(t *testing.T, name string) []Result {
+	t.Helper()
+	ne, err := Named(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := HandlerOverhead(ne.Benchmarks, ne.Specs, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestHandlerOverheadBaselineIsOne(t *testing.T) {
 	res, err := HandlerOverhead(pickBench(t, "espresso"), Figure2Plans(), tinyOptions())
 	if err != nil {
@@ -66,10 +80,7 @@ func TestOverheadOrderingS1LeqS10(t *testing.T) {
 }
 
 func TestFigure3Su2corShape(t *testing.T) {
-	res, err := Figure3(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runNamed(t, "fig3")
 	var ooS10, ioS10 float64
 	for _, r := range res {
 		if r.Plan == "S10" {
@@ -116,10 +127,7 @@ func TestH100KnownPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	res, err := H100(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runNamed(t, "h100")
 	get := func(bench string, machine core.Machine, plan string) float64 {
 		for _, r := range res {
 			if r.Benchmark == bench && r.Machine == machine && r.Plan == plan {

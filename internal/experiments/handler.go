@@ -146,13 +146,6 @@ func DefaultOptions() Options {
 		Machines: []core.Machine{core.OutOfOrder, core.InOrder}}
 }
 
-func configFor(machine core.Machine, scheme core.Scheme) core.Config {
-	if machine == core.InOrder {
-		return core.Alpha21164(scheme)
-	}
-	return core.R10000(scheme)
-}
-
 // BaselineIndex resolves which spec a sweep normalises against. An
 // explicit baseline must name one of the specs; otherwise the spec
 // labelled "N" is chosen, and its absence is an error (see
@@ -225,7 +218,7 @@ func HandlerOverhead(bms []workload.Benchmark, specs []PlanSpec, opt Options) ([
 			if err != nil {
 				return Result{}, fmt.Errorf("%s/%s: %w", c.bm.Name, c.spec.Label, err)
 			}
-			cfg := configFor(c.machine, c.spec.Scheme).WithPolicy(opt.Policy).
+			cfg := ConfigFor(c.machine, c.spec.Scheme).WithPolicy(opt.Policy).
 				WithMaxInsts(opt.MaxInsts).WithContext(ctx)
 			if opt.Obs != nil {
 				cfg = cfg.WithObs(opt.Obs)
@@ -261,36 +254,6 @@ func HandlerOverhead(bms []workload.Benchmark, specs []PlanSpec, opt Options) ([
 	return out, err
 }
 
-// Figure2 reproduces Figure 2 (thirteen benchmarks, 1- and 10-instruction
-// handlers, both machines).
-func Figure2(opt Options) ([]Result, error) {
-	return HandlerOverhead(workload.Fig2Set(), Figure2Plans(), opt)
-}
-
-// Figure3 reproduces Figure 3 (the su2cor outlier).
-func Figure3(opt Options) ([]Result, error) {
-	bm, ok := workload.ByName("su2cor")
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown benchmark %q", "su2cor")
-	}
-	return HandlerOverhead([]workload.Benchmark{bm}, Figure2Plans(), opt)
-}
-
-// H100 reproduces the §4.2.2 text results for 100-instruction handlers on
-// the three benchmarks the paper names (compress ~6x, su2cor ~7x, ora low
-// overhead).
-func H100(opt Options) ([]Result, error) {
-	var bms []workload.Benchmark
-	for _, name := range []string{"compress", "su2cor", "ora"} {
-		bm, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown benchmark %q", name)
-		}
-		bms = append(bms, bm)
-	}
-	return HandlerOverhead(bms, H100Plans(), opt)
-}
-
 // PrefetchPlans returns the §6 case-study bars: the baseline against
 // stride-prefetch miss handlers reaching one and four 32-byte lines
 // beyond the missing reference.
@@ -300,24 +263,6 @@ func PrefetchPlans() []PlanSpec {
 		{"PF32", core.TrapBranch, func() workload.Plan { return workload.NewPlanPrefetch(32) }},
 		{"PF128", core.TrapBranch, func() workload.Plan { return workload.NewPlanPrefetch(128) }},
 	}
-}
-
-// PrefetchCaseStudy runs the §6 case study — prefetching written as an
-// informing miss handler — on the three golden-grid benchmarks. The
-// results carry the per-class miss taxonomy in each Run (L1Tax/L2Tax),
-// which FormatTaxonomy renders as the case-study table: the point is not
-// the handler's overhead but how the prefetch distance moves misses
-// between taxonomy classes.
-func PrefetchCaseStudy(opt Options) ([]Result, error) {
-	var bms []workload.Benchmark
-	for _, name := range []string{"compress", "espresso", "tomcatv"} {
-		bm, ok := workload.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown benchmark %q", name)
-		}
-		bms = append(bms, bm)
-	}
-	return HandlerOverhead(bms, PrefetchPlans(), opt)
 }
 
 // TrapModeComparison reproduces the §4.2.2 branch-vs-exception result:

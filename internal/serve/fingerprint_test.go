@@ -147,7 +147,7 @@ type fingerprintPins struct {
 // the same cache key in every informd instance of this code version.
 //
 // Regenerate after an intentional format/CodeVersion change with
-// FINGERPRINT_PINS_PRINT=1.
+// GOLDEN_PRINT=1.
 func TestFingerprintPinned(t *testing.T) {
 	raw, err := os.ReadFile("testdata/fingerprints.json")
 	if err != nil {
@@ -161,7 +161,7 @@ func TestFingerprintPinned(t *testing.T) {
 		t.Fatalf("pins recorded for %q, code is %q — regenerate testdata/fingerprints.json",
 			pins.CodeVersion, CodeVersion)
 	}
-	printMode := os.Getenv("FINGERPRINT_PINS_PRINT") != ""
+	printMode := os.Getenv("GOLDEN_PRINT") != ""
 	for _, pin := range pins.Pins {
 		t.Run(pin.Name, func(t *testing.T) {
 			dec := json.NewDecoder(bytes.NewReader(pin.Request))
