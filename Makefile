@@ -213,16 +213,20 @@ paper-check: paper-gen
 		END { if (!nraw || !rows) { print "paper-check: §6 prefetch table not found" > "/dev/stderr"; bad = 1 } exit bad }' \
 		docs_experiments_raw.txt EXPERIMENTS.md
 
-# verify is the full CI gate: build, gofmt, vet, race-enabled tests, fuzz
-# seeds, the smoke lanes (cluster and chaos included), the paper tables.
-# The short passes over the timing cores' hot-path benchmarks, the trace
-# parser's and the replay sweep's keep the benchmarks behind
-# EXPERIMENTS.md "Hot-path benchmarks", "Ingest speed" and "Replay sweep
-# speed" running.
+# verify is the full CI gate: build, gofmt, vet, the short and the
+# race-enabled tests, the golden grid and allocation gate, fuzz seeds, the
+# smoke lanes (cluster and chaos included), the paper tables. The short
+# lane and the golden step run without -race, as CI runs them:
+# TestCacheHitAllocations asserts its bounds only without -race. The
+# short passes over the timing cores' hot-path benchmarks, the trace parser's
+# and the replay sweep's keep the benchmarks behind EXPERIMENTS.md
+# "Hot-path benchmarks", "Ingest speed" and "Replay sweep speed" running.
 verify: build
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	$(GO) test -short ./...
 	$(GO) test -race ./...
+	$(GO) test -run 'TestHotpathGolden|TestTimingHotLoopAllocationFree' ./internal/core
 	$(GO) test -run '^$$' -bench Hotpath -benchtime 2x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'ParseLine|Load' -benchtime 1x ./internal/trace
 	$(GO) test -run '^$$' -bench 'TraceSweep|NewHierarchy' -benchtime 1x ./internal/experiments

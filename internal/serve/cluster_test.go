@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -90,7 +91,14 @@ func postJSONHeaders(t *testing.T, url string, body any, hdr map[string]string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(buf))
+	return postBody(t, url, buf, hdr)
+}
+
+// postBody posts body as it is, with caller-controlled headers (raw
+// trace hop bodies are not JSON).
+func postBody(t *testing.T, url string, body []byte, hdr map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +206,64 @@ func TestClusterGoldenGrid(t *testing.T) {
 	}
 	if delta := clusterInstrs(nodes) - instrsBefore; delta != 0 {
 		t.Errorf("repeat grid simulated %d instructions cluster-wide, want exactly 0", delta)
+	}
+}
+
+// TestClusterTraceUpload: trace uploads through node 0 of a 3-node
+// cluster with durable stores, until each peer owns at least one, come
+// back exactly as a single node serves them and reconcile with their
+// recording runs at delta 0. The non-owned ones cross the raw trace hop:
+// the owner serves them and stores them under the key the ingress
+// computed, so a trace byte changed on the hop fails here, and a repeat
+// through the other non-owner is served from the owner's cache.
+func TestClusterTraceUpload(t *testing.T) {
+	nodes := newTestClusterNodes(t, 3, func(int) Config { return Config{Store: openTestStore(t, t.TempDir(), nil)} })
+	_, single := newTestServer(t, Config{})
+	var owned [3]int
+	for seed := int64(1); owned[1] == 0 || owned[2] == 0; seed++ {
+		if seed > 16 {
+			t.Fatalf("16 uploads left a peer owning none: %v", owned)
+		}
+		trace, run := progenTrace(t, seed)
+		c := Request{Kind: KindTrace, Machine: MachineOOO, Trace: trace}
+		o := ownerIndex(t, nodes, c)
+		owned[o]++
+		key := Fingerprint(mustCanon(t, c))
+		want := postCells(t, single.URL, c).Results[0]
+		if want.Error != nil || want.Replay == nil {
+			t.Fatalf("seed %d: single node answered %+v, want a replay", seed, want)
+		}
+		owner := nodes[o].server()
+		served := owner.met.ForwardedServed.Load()
+
+		cr := postCells(t, nodes[0].ts.URL, c).Results[0]
+		if cr.Error != nil || cr.Replay == nil || cr.Cached {
+			t.Fatalf("seed %d (owner %d): cluster answered %+v, want a fresh replay", seed, o, cr)
+		}
+		if !reflect.DeepEqual(cr.Replay, want.Replay) {
+			t.Errorf("seed %d (owner %d): cluster replay %+v, single node %+v", seed, o, cr.Replay, want.Replay)
+		}
+		if err := cr.Replay.Reconcile(run); err != nil {
+			t.Errorf("seed %d (owner %d): cluster replay does not reconcile: %v", seed, o, err)
+		}
+		if stored, ok := owner.storeGet(key); !ok || !reflect.DeepEqual(stored.replay, want.Replay) {
+			t.Errorf("seed %d: owner %d holds no stored replay under the single-node key %s", seed, o, key)
+		}
+		if o == 0 {
+			continue
+		}
+		if owner.met.ForwardedServed.Load() == served {
+			t.Errorf("seed %d: owner %d served no forwarded cell", seed, o)
+		}
+		rep := postCells(t, nodes[3-o].ts.URL, c).Results[0]
+		if !rep.Cached || !reflect.DeepEqual(rep.Replay, want.Replay) {
+			t.Errorf("seed %d: repeat through node %d = %+v, want the cached replay", seed, 3-o, rep)
+		}
+	}
+	for i, n := range nodes {
+		if f := n.server().met.ForwardFallbacks.Load(); f != 0 {
+			t.Errorf("node %d fell back to local compute %d times", i, f)
+		}
 	}
 }
 
@@ -514,6 +580,18 @@ func TestForwardedHopRequiresClusterSecret(t *testing.T) {
 			SimulateRequest{Cells: []Request{fakeCell(62_000)}}, hdr)
 		if resp.StatusCode != http.StatusForbidden {
 			t.Fatalf("forged hop %v: status = %d, want 403\n%s", hdr, resp.StatusCode, body)
+		}
+	}
+	// A raw trace hop is a forwarded hop: without the secret, or with a
+	// wrong one, it is refused before its body is read.
+	raw := appendTraceHop(nil, Request{Kind: KindTrace, Machine: MachineOOO, Trace: "{}\n"})
+	for _, hdr := range []map[string]string{
+		{HeaderForwarded: CodeVersion, HeaderRawTrace: "1"},
+		{HeaderForwarded: CodeVersion, HeaderRawTrace: "1", HeaderClusterAuth: "wrong-secret"},
+	} {
+		resp, body := postBody(t, nodes[0].ts.URL+"/v1/simulate", raw, hdr)
+		if resp.StatusCode != http.StatusForbidden {
+			t.Fatalf("forged raw hop %v: status = %d, want 403\n%s", hdr, resp.StatusCode, body)
 		}
 	}
 	if runners[0].total()+runners[1].total() != 0 {

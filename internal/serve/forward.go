@@ -56,6 +56,11 @@ const (
 	// member. Compared in constant time; required before HeaderForwarded
 	// is honored.
 	HeaderClusterAuth = "X-Informd-Cluster-Auth"
+	// HeaderRawTrace marks a forwarded trace cell whose body is the raw
+	// hop form (appendTraceHop): the trace follows the head unescaped.
+	// The receiver honors it only on a forwarded hop that passed the
+	// cluster-secret check; a client body is always the cells codec.
+	HeaderRawTrace = "X-Informd-Raw-Trace"
 )
 
 // remoteFlight is one in-flight forward to an owner peer, shared by every
@@ -133,11 +138,18 @@ func lifecycleReject(err error) bool {
 // give an authoritative answer" and the caller must compute locally; it
 // is never an error the client sees.
 func (s *Server) forwardToOwner(key string, c Request, tn *tenant, owner string) (out outcome, cached, ok bool) {
-	// Sized for one pass: escaping grows JSONL traces by about a fifth.
-	n := len(c.Source) + len(c.Trace)
-	body := appendCells(make([]byte, 0, 256+n+n/4), []Request{c})
 	hdr := http.Header{}
-	hdr.Set("Content-Type", "application/json")
+	var body []byte
+	if c.Kind == KindTrace {
+		// The trace goes out as the ingress decoded it: no byte of it is
+		// escaped here or unescaped at the owner.
+		body = appendTraceHop(make([]byte, 0, 256+len(c.Trace)), c)
+		hdr.Set(HeaderRawTrace, "1")
+	} else {
+		// Sized for one pass: escaping grows a source by about a fifth.
+		body = appendCells(make([]byte, 0, 256+len(c.Source)*5/4), []Request{c})
+		hdr.Set("Content-Type", "application/json")
+	}
 	hdr.Set(HeaderForwarded, CodeVersion)
 	hdr.Set(HeaderForwardedTenant, tn.name)
 	hdr.Set(HeaderClusterAuth, s.cluster.Secret())

@@ -833,12 +833,18 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // readCells reads and decodes a {"cells":[...]} body with the wire codec
-// (wire.go). On failure the error response has been written.
-func readCells(w http.ResponseWriter, r *http.Request) ([]Request, bool) {
+// (wire.go), or a raw trace hop body when rawTrace is set: the caller sets
+// it only for a forwarded hop that resolveTenant authenticated. On
+// failure the error response has been written.
+func readCells(w http.ResponseWriter, r *http.Request, rawTrace bool) ([]Request, bool) {
+	decode := decodeCells
+	if rawTrace {
+		decode = decodeTraceHop
+	}
 	var cells []Request
 	body, err := readBody(w, r)
 	if err == nil {
-		cells, err = decodeCells(body)
+		cells, err = decode(body)
 	}
 	if err != nil {
 		writeBodyError(w, err)
@@ -1018,7 +1024,7 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, render func(
 	if !ok {
 		return
 	}
-	cells, ok := readCells(w, r)
+	cells, ok := readCells(w, r, forwarded && r.Header.Get(HeaderRawTrace) != "")
 	if !ok {
 		return
 	}

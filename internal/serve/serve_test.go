@@ -133,31 +133,46 @@ func decodeTo(t *testing.T, body []byte, v any) {
 	}
 }
 
+// rawHop are the headers of an authenticated raw trace hop.
+var rawHop = map[string]string{HeaderForwarded: CodeVersion, HeaderClusterAuth: testClusterSecret, HeaderRawTrace: "1"}
+
 // TestSimulateBadRequests is the table-driven 400 lane: malformed JSON,
 // unknown fields, empty and oversized batches, data after the body's
 // value and repeated keys all produce a well-formed error body with code
-// "invalid".
+// "invalid". So does a raw trace hop whose head is not one trace cell
+// without a trace, or that has no newline, and a raw body a client sends
+// without the forwarded headers. The server is node 0 of a two-node
+// cluster, so a hop with the cluster secret is authenticated.
 func TestSimulateBadRequests(t *testing.T) {
 	runner := newFakeRunner(false)
-	_, ts := newTestServer(t, Config{runCell: runner.run, MaxCellsPerRequest: 2})
+	nodes := newTestClusterNodes(t, 2, func(int) Config { return Config{runCell: runner.run, MaxCellsPerRequest: 2} })
+	ts := nodes[0].ts
 
 	cell := `{"kind":"cell","benchmark":"compress","plan":"S1"}`
+	line := `{"seq":0,"pc":"0x1000","disasm":"ld","fetch":0,"issue":1,"complete":2,"graduate":3,"level":1,"addr":"0x40","kind":"load","trap":false}` + "\n"
 	cases := []struct {
 		name string
 		path string // default /v1/simulate
 		body string
+		hdr  map[string]string
 	}{
-		{"malformed-json", "", `{"cells": [`},
-		{"not-json", "", `this is not json`},
-		{"unknown-field", "", `{"cellz": []}`},
-		{"empty-batch", "", `{"cells": []}`},
-		{"too-many-cells", "", `{"cells": [{"kind":"cell"},{"kind":"cell"},{"kind":"cell"}]}`},
-		{"second-body", "", `{"cells":[` + cell + `]}{"cells":[` + cell + `]}`},
-		{"trailing-garbage", "", `{"cells":[` + cell + `]} x`},
-		{"duplicate-key", "", `{"cells":[{"kind":"cell","benchmark":"compress","benchmark":"espresso","plan":"S1"}]}`},
-		{"duplicate-folded-key", "", `{"cells":[{"kind":"cell","benchmark":"compress","plan":"S1","PLAN":"N"}]}`},
-		{"explain-trailing-garbage", "/v1/explain", `{"cells":[` + cell + `]}]`},
-		{"experiment-second-body", "/v1/experiment", `{"name":"fig3"}{"name":"fig3"}`},
+		{"malformed-json", "", `{"cells": [`, nil},
+		{"not-json", "", `this is not json`, nil},
+		{"unknown-field", "", `{"cellz": []}`, nil},
+		{"empty-batch", "", `{"cells": []}`, nil},
+		{"too-many-cells", "", `{"cells": [{"kind":"cell"},{"kind":"cell"},{"kind":"cell"}]}`, nil},
+		{"second-body", "", `{"cells":[` + cell + `]}{"cells":[` + cell + `]}`, nil},
+		{"trailing-garbage", "", `{"cells":[` + cell + `]} x`, nil},
+		{"duplicate-key", "", `{"cells":[{"kind":"cell","benchmark":"compress","benchmark":"espresso","plan":"S1"}]}`, nil},
+		{"duplicate-folded-key", "", `{"cells":[{"kind":"cell","benchmark":"compress","plan":"S1","PLAN":"N"}]}`, nil},
+		{"explain-trailing-garbage", "/v1/explain", `{"cells":[` + cell + `]}]`, nil},
+		{"experiment-second-body", "/v1/experiment", `{"name":"fig3"}{"name":"fig3"}`, nil},
+		{"raw-two-cells", "", `{"cells":[{"kind":"trace"},{"kind":"trace"}]}` + "\n" + line, rawHop},
+		{"raw-non-trace-cell", "", `{"cells":[` + cell + `]}` + "\n" + line, rawHop},
+		{"raw-trace-in-head", "", `{"cells":[{"kind":"trace","trace":"x"}]}` + "\n" + line, rawHop},
+		{"raw-no-newline", "", `{"cells":[{"kind":"trace"}]}`, rawHop},
+		{"raw-bad-head", "", `{"cells":[{"kind":"trace"}]` + "\n" + line, rawHop},
+		{"raw-from-client", "", `{"cells":[{"kind":"trace"}]}` + "\n" + line, map[string]string{HeaderRawTrace: "1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,16 +180,12 @@ func TestSimulateBadRequests(t *testing.T) {
 			if path == "" {
 				path = "/v1/simulate"
 			}
-			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
+			resp, body := postBody(t, ts.URL+path, []byte(tc.body), tc.hdr)
 			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400", resp.StatusCode)
+				t.Fatalf("status = %d, want 400\n%s", resp.StatusCode, body)
 			}
 			var eb errorBody
-			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			if err := json.Unmarshal(body, &eb); err != nil {
 				t.Fatalf("error body not JSON: %v", err)
 			}
 			if eb.Error == nil || eb.Error.Code != CodeInvalid {
@@ -782,20 +793,28 @@ func runningWorkers() int {
 }
 
 // TestOversizedBodyIs413: a body above maxBodyBytes is reported as 413
-// (entity too large), not mislabelled as a 400 JSON syntax error.
+// (entity too large), not mislabelled as a 400 JSON syntax error, and so
+// is a raw trace hop body above it. The server is node 0 of a two-node
+// cluster, so the raw hop is authenticated.
 func TestOversizedBodyIs413(t *testing.T) {
 	runner := newFakeRunner(false)
-	_, ts := newTestServer(t, Config{runCell: runner.run})
+	nodes := newTestClusterNodes(t, 2, func(int) Config { return Config{runCell: runner.run} })
+	ts := nodes[0].ts
 
-	big := `{"cells": [{"kind":"cell","benchmark":"` + strings.Repeat("x", maxBodyBytes) + `"}]}`
-	for _, path := range []string{"/v1/simulate", "/v1/experiment"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(big))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	big := []byte(`{"cells": [{"kind":"cell","benchmark":"` + strings.Repeat("x", maxBodyBytes) + `"}]}`)
+	raw := appendTraceHop(nil, Request{Kind: KindTrace, Machine: MachineOOO, Trace: strings.Repeat("x", maxBodyBytes)})
+	for _, tc := range []struct {
+		path string
+		body []byte
+		hdr  map[string]string
+	}{
+		{"/v1/simulate", big, nil},
+		{"/v1/experiment", big, nil},
+		{"/v1/simulate", raw, rawHop},
+	} {
+		resp, _ := postBody(t, ts.URL+tc.path, tc.body, tc.hdr)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s oversized body: status = %d, want 413", path, resp.StatusCode)
+			t.Fatalf("%s oversized body (headers %v): status = %d, want 413", tc.path, tc.hdr, resp.StatusCode)
 		}
 	}
 	if runner.total() != 0 {

@@ -2,10 +2,11 @@ package serve
 
 // The cells wire codec: the one decoder of {"cells":[Request...]} bodies
 // (POST /v1/simulate and /v1/explain, forwarded cluster hops included) and
-// the encoder of the hop body. A trace upload carries up to MaxTraceBytes
+// the encoder of the hop bodies. A trace upload carries up to MaxTraceBytes
 // of JSONL as one escaped string, and encoding/json scans such a body
-// twice and re-escapes it for every hop; this codec reads it once,
-// unescaping strings in place.
+// twice; this codec reads it once, unescaping strings in place. A trace
+// cell crosses the cluster hop unescaped: its hop body ends in the raw
+// trace (appendTraceHop, decodeTraceHop).
 //
 // Contract (DESIGN.md §12 "Wire codec"): every body that encoding/json
 // with DisallowUnknownFields accepts into a SimulateRequest decodes to the
@@ -554,4 +555,33 @@ func appendString(b []byte, s string) []byte {
 		}
 	}
 	return append(b, '"')
+}
+
+// appendTraceHop appends the raw hop body of the trace cell c: its
+// appendCells body without the trace, one '\n', then the trace verbatim.
+// appendCells never writes a raw newline, so the first one ends the head.
+func appendTraceHop(b []byte, c Request) []byte {
+	trace := c.Trace
+	c.Trace = ""
+	b = appendCells(b, []Request{c})
+	return append(append(b, '\n'), trace...)
+}
+
+// decodeTraceHop decodes a raw hop body written by appendTraceHop. The
+// head must hold exactly one trace cell with no trace of its own; the
+// bytes after the first newline are its trace.
+func decodeTraceHop(body []byte) ([]Request, error) {
+	head, trace, ok := bytes.Cut(body, []byte{'\n'})
+	if !ok {
+		return nil, errors.New("raw trace hop without a newline after its head")
+	}
+	cells, err := decodeCells(head)
+	if err != nil {
+		return nil, err
+	}
+	if len(cells) != 1 || cells[0].Kind != KindTrace || cells[0].Trace != "" {
+		return nil, errors.New("raw trace hop head is not one trace cell without its trace")
+	}
+	cells[0].Trace = string(trace)
+	return cells, nil
 }

@@ -11,6 +11,7 @@ import (
 	"informing/internal/core"
 	"informing/internal/obs"
 	"informing/internal/progen"
+	"informing/internal/stats"
 )
 
 // referenceDecode decodes a cells body the way readJSON did before the
@@ -90,7 +91,8 @@ func checkDecode(t *testing.T, body []byte) []Request {
 }
 
 // checkRoundTrip: the hop body of cells decodes back to cells, through the
-// codec and through encoding/json.
+// codec and through encoding/json, and every trace cell among them also
+// survives the raw trace hop.
 func checkRoundTrip(t *testing.T, cells []Request) {
 	t.Helper()
 	body := appendCells(nil, cells)
@@ -102,15 +104,57 @@ func checkRoundTrip(t *testing.T, cells []Request) {
 	if err != nil || !reflect.DeepEqual(back, cells) {
 		t.Fatalf("codec reads the hop body back as %#v (%v), want %#v", back, err, cells)
 	}
+	for _, c := range cells {
+		if c.Kind == KindTrace {
+			checkTraceHop(t, c)
+		}
+	}
+}
+
+// checkTraceHop: the raw hop body of the trace cell c carries its trace
+// verbatim after the first newline, and the owner decodes it back to c.
+func checkTraceHop(t *testing.T, c Request) {
+	t.Helper()
+	body := appendTraceHop(nil, c)
+	if _, trace, _ := bytes.Cut(body, []byte{'\n'}); string(trace) != c.Trace {
+		t.Fatalf("raw hop body %q does not end in the trace %q after its first newline", body, c.Trace)
+	}
+	back, err := decodeTraceHop(body)
+	if err != nil || !reflect.DeepEqual(back, []Request{c}) {
+		t.Fatalf("owner reads the raw hop body %q back as %#v (%v), want %#v", body, back, err, c)
+	}
+}
+
+// checkTraceHopDecode holds the owner's raw hop decode to its rule on
+// any body: it accepts only a head that decodes to one trace cell without
+// a trace, and that cell's trace is everything after the first newline.
+func checkTraceHopDecode(t *testing.T, body []byte) {
+	t.Helper()
+	got, err := decodeTraceHop(bytes.Clone(body))
+	if err != nil {
+		return
+	}
+	head, trace, _ := bytes.Cut(body, []byte{'\n'})
+	want, err := decodeCells(bytes.Clone(head))
+	if err != nil || len(want) != 1 || want[0].Kind != KindTrace || want[0].Trace != "" {
+		t.Fatalf("owner accepted the raw hop body %q, whose head decodes to %#v (%v)", body, want, err)
+	}
+	want[0].Trace = string(trace)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("owner decoded the raw hop body %q as %#v, want %#v", body, got, want)
+	}
 }
 
 // FuzzDecodeCells is the codec's differential against encoding/json (the
 // seed corpus covers escapes, surrogates, invalid UTF-8, folded keys,
-// nulls, number edge cases, nested unknown values and both stricter
-// rules). On every accepted body it also checks the hop-body round trip
-// and that Canonicalize is idempotent on what was decoded.
+// nulls, number edge cases, nested unknown values, both stricter rules
+// and a raw trace hop). On every accepted body it also checks the
+// hop-body round trip, the raw trace hop's for every trace cell, and
+// that Canonicalize is idempotent on what was decoded. Every body also
+// goes through the owner's raw trace hop decode.
 func FuzzDecodeCells(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkTraceHopDecode(t, body)
 		cells := checkDecode(t, body)
 		if len(cells) == 0 {
 			return
@@ -185,7 +229,9 @@ func TestRequestCodecCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestHopBodyRoundTrip: every kind of canonical request survives the hop.
+// TestHopBodyRoundTrip: every kind of canonical request survives the hop,
+// and a trace, whatever bytes it holds, crosses the raw trace hop
+// verbatim (checkTraceHop).
 func TestHopBodyRoundTrip(t *testing.T) {
 	good := `{"seq":0,"pc":"0x1000","disasm":"ld","fetch":0,"issue":1,"complete":2,"graduate":3,"level":1,"addr":"0x40","kind":"load","trap":false}` + "\n"
 	for _, req := range []Request{
@@ -194,6 +240,7 @@ func TestHopBodyRoundTrip(t *testing.T) {
 		{Kind: KindFig4, App: "lu", Scheme: "informing", Processors: 4, MaxRefs: 1000},
 		{Kind: KindProgram, Source: "\tli r1, 10\nloop:\taddi r1, r1, -1\n\tbne r1, r0, loop\n\thalt\n", Scheme: "condcode"},
 		{Kind: KindTrace, Trace: good + good, AllowSampled: true, MaxRefs: 1},
+		{Kind: KindTrace, Trace: "\"q\" \\b\\ \n\x01\r\t\n" + good, Machine: "inorder"},
 	} {
 		canon, err := Canonicalize(req, 0)
 		if err != nil {
@@ -203,21 +250,30 @@ func TestHopBodyRoundTrip(t *testing.T) {
 	}
 }
 
-// progenUpload is the body of a trace upload as informbench's serve_upload
-// sends it: a full trace of a generated program, marshalled by
-// encoding/json. Seed 6 records to about 1 MB of JSONL.
-func progenUpload(tb testing.TB, seed int64) []byte {
+// progenTrace records a full out-of-order trace of the generated program
+// of seed, with the run it came from.
+func progenTrace(tb testing.TB, seed int64) (string, stats.Run) {
 	tb.Helper()
 	p := progen.Generate(seed)
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf, 1)
-	if _, err := core.R10000(core.Off).WithMaxInsts(100_000_000).WithTrace(sink.Emit).Run(p.Prog); err != nil {
+	run, err := core.R10000(core.Off).WithMaxInsts(100_000_000).WithTrace(sink.Emit).Run(p.Prog)
+	if err != nil {
 		tb.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	body, err := json.Marshal(SimulateRequest{Cells: []Request{{Kind: KindTrace, Machine: MachineOOO, Trace: buf.String()}}})
+	return buf.String(), run
+}
+
+// progenUpload is the body of a trace upload as informbench's serve_upload
+// sends it: a full trace of a generated program, marshalled by
+// encoding/json. Seed 6 records to about 1 MB of JSONL.
+func progenUpload(tb testing.TB, seed int64) []byte {
+	tb.Helper()
+	trace, _ := progenTrace(tb, seed)
+	body, err := json.Marshal(SimulateRequest{Cells: []Request{{Kind: KindTrace, Machine: MachineOOO, Trace: trace}}})
 	if err != nil {
 		tb.Fatal(err)
 	}
