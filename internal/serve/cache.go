@@ -6,9 +6,9 @@ import (
 )
 
 // lruCache is the fingerprint-keyed result cache: a plain mutex-guarded
-// LRU over completed outcomes. Simulation results are small (a stats.Run
-// or multi.Result struct), so the cache is bounded by entry count, not
-// bytes. Only successful outcomes are inserted — errors, including
+// LRU over completed outcomes. Simulation results are small (a result
+// struct and its JSON encoding), so the cache is bounded by entry count,
+// not bytes. Only successful outcomes are inserted — errors, including
 // cancellation and budget aborts, always recompute.
 type lruCache struct {
 	mu  sync.Mutex

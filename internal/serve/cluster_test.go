@@ -42,7 +42,6 @@ func (n *clusterNode) server() *Server {
 func newTestClusterNodes(t *testing.T, size int, mkCfg func(i int) Config) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, size)
-	urls := make([]string, size)
 	for i := range nodes {
 		node := &clusterNode{}
 		node.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -50,9 +49,25 @@ func newTestClusterNodes(t *testing.T, size int, mkCfg func(i int) Config) []*cl
 		}))
 		t.Cleanup(node.ts.Close)
 		nodes[i] = node
+	}
+	bootClusterServers(t, nodes, mkCfg)
+	return nodes
+}
+
+// bootClusterServers gives every node a new Server generation built from
+// mkCfg, closing the generation it replaces: with the same store
+// directories, a second call is a warm restart of the whole cluster on
+// stable addresses.
+func bootClusterServers(t *testing.T, nodes []*clusterNode, mkCfg func(i int) Config) {
+	t.Helper()
+	urls := make([]string, len(nodes))
+	for i, node := range nodes {
 		urls[i] = node.ts.URL
 	}
 	for i, node := range nodes {
+		if old := node.server(); old != nil {
+			old.Close()
+		}
 		cl, err := cluster.New(cluster.Config{
 			Self:    urls[i],
 			Peers:   urls,
@@ -70,7 +85,6 @@ func newTestClusterNodes(t *testing.T, size int, mkCfg func(i int) Config) []*cl
 		node.mu.Unlock()
 		t.Cleanup(node.srv.Close)
 	}
-	return nodes
 }
 
 // clusterInstrs sums sim_instrs across every node: the cluster-wide

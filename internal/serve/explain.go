@@ -107,11 +107,11 @@ func explainResult(cr CellResult, policy string) ExplainResult {
 // handleExplain renders the cell pipeline's results as taxonomies, each
 // under its cell's canonical replacement policy.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	s.serveCells(w, r, func(cells []Request, results []CellResult) any {
+	s.serveCells(w, r, func(w http.ResponseWriter, cells []Request, results []CellResult) {
 		out := make([]ExplainResult, len(results))
 		for i, cr := range results {
 			out[i] = explainResult(cr, cells[i].Policy)
 		}
-		return ExplainResponse{Results: out}
+		writeJSON(w, http.StatusOK, ExplainResponse{Results: out})
 	})
 }

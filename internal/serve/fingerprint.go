@@ -42,18 +42,37 @@ func canonicalString(c Request) string {
 		return fmt.Sprintf("%s|fig4|app=%s|scheme=%s|procs=%d|maxrefs=%d",
 			CodeVersion, c.App, c.Scheme, c.Processors, c.MaxRefs)
 	case KindProgram:
-		src := sha256.Sum256([]byte(c.Source))
+		src := hashString(c.Source)
 		return fmt.Sprintf("%s|program|machine=%s|scheme=%s|maxinsts=%d|src=%s",
 			CodeVersion, c.Machine, c.Scheme, c.MaxInsts, hex.EncodeToString(src[:]))
 	case KindTrace:
 		// Like program sources, the trace content folds in as its own
 		// SHA-256 so multi-megabyte traces keep the canonical string
 		// bounded.
-		tr := sha256.Sum256([]byte(c.Trace))
+		tr := hashString(c.Trace)
 		return fmt.Sprintf("%s|trace|machine=%s|maxrefs=%d|sampled=%t|trace=%s",
 			CodeVersion, c.Machine, c.MaxRefs, c.AllowSampled, hex.EncodeToString(tr[:]))
 	}
 	// Canonicalize never emits another kind; keep unknown kinds from
 	// colliding with anything real.
 	return fmt.Sprintf("%s|unknown|%q", CodeVersion, c.Kind)
+}
+
+// hashChunk is the largest piece of a string hashString copies at once.
+const hashChunk = 32 << 10
+
+// hashString is sha256.Sum256 of s without converting s to a []byte,
+// which would copy it whole: a trace can be tens of megabytes. s streams
+// through the hash in chunks of at most hashChunk bytes.
+func hashString(s string) [sha256.Size]byte {
+	h := sha256.New()
+	buf := make([]byte, min(len(s), hashChunk))
+	for len(s) > 0 {
+		n := copy(buf, s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -183,5 +185,17 @@ func TestFingerprintPinned(t *testing.T) {
 				t.Errorf("key %s, want pinned %s (canonical %q)", key, pin.Key, canonicalString(canon))
 			}
 		})
+	}
+}
+
+// hashString streams a string through SHA-256 in chunks; the digest must
+// be sha256.Sum256's on either side of every chunk boundary.
+func TestHashStringMatchesSum256(t *testing.T) {
+	long := strings.Repeat("0123456789abcdef\n", 3*hashChunk/16+1)
+	for _, n := range []int{0, 1, hashChunk - 1, hashChunk, hashChunk + 1, 2 * hashChunk, len(long)} {
+		s := long[:n]
+		if got, want := hashString(s), sha256.Sum256([]byte(s)); got != want {
+			t.Errorf("len %d: hashString = %x, want %x", n, got, want)
+		}
 	}
 }

@@ -194,10 +194,13 @@ func (s *Server) forwardToOwner(key string, c Request, tn *tenant, owner string)
 	if exactlyOne(cr.Run != nil, cr.Multi != nil, cr.Replay != nil) != 1 {
 		return outcome{}, false, false
 	}
-	out = outcome{run: cr.Run, multiRes: cr.Multi, replay: cr.Replay}
-	// Warm the ingress LRU: repeats at this node are then zero-hop. The
+	// Encode the reply once, as this node's copy of the result, and warm
+	// the ingress LRU with it: repeats at this node are then zero-hop. The
 	// durable store is NOT written — durability is the owner's job.
-	s.cache.add(key, out)
+	out = encoded(outcome{run: cr.Run, multiRes: cr.Multi, replay: cr.Replay})
+	if out.err == nil {
+		s.cache.add(key, out)
+	}
 	return out, cr.Cached, true
 }
 

@@ -27,8 +27,8 @@ func TestCacheHitAllocations(t *testing.T) {
 		body   any
 		allocs float64
 	}{
-		{"/v1/simulate", SimulateRequest{Cells: []Request{cell}}, 31},
-		{"/v1/explain", ExplainRequest{Cells: []Request{cell}}, 33},
+		{"/v1/simulate", SimulateRequest{Cells: []Request{cell}}, 22},
+		{"/v1/explain", ExplainRequest{Cells: []Request{cell}}, 25},
 	} {
 		t.Run(tc.path, func(t *testing.T) {
 			body, err := json.Marshal(tc.body)

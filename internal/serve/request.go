@@ -293,6 +293,9 @@ func wireErr(err error) *WireError {
 // kinds), Multi (fig4 kind), Replay (trace kind) or Error is set. Key is
 // the cache fingerprint of the canonical request; Cached reports whether
 // the result was served from the LRU without touching the simulator.
+//
+// The field order is wire format: /v1/simulate splices a result's stored
+// encoding after key and cached (writeSimulate).
 type CellResult struct {
 	Key    string              `json:"key"`
 	Cached bool                `json:"cached"`
@@ -300,6 +303,8 @@ type CellResult struct {
 	Multi  *multi.Result       `json:"multi,omitempty"`
 	Replay *trace.ReplayResult `json:"replay,omitempty"`
 	Error  *WireError          `json:"error,omitempty"`
+
+	enc []byte // the served outcome's encoding; nil on error cells
 }
 
 // SimulateRequest is the body of POST /v1/simulate: a batch of cells

@@ -160,10 +160,13 @@ func (c Config) withDefaults() Config {
 
 // outcome is one completed computation: exactly one of run/multiRes/replay
 // set on success, err on failure. Only successful outcomes enter the cache.
+// A successful outcome also carries enc, its encoding (storecodec.go): the
+// store payload and the tail of every /v1/simulate cell that serves it.
 type outcome struct {
 	run      *stats.Run
 	multiRes *multi.Result
 	replay   *trace.ReplayResult
+	enc      []byte
 	err      error
 }
 
@@ -319,7 +322,8 @@ func (s *Server) degradeStore(op string, err error) {
 
 // storeGet is the read-through path under an LRU miss. Any failure mode
 // ends in (outcome{}, false) — the caller computes; corrupt payloads were
-// already quarantined by the store, undecodable ones are dropped here.
+// already quarantined by the store, undecodable ones are dropped here. A
+// hit keeps the payload as the outcome's encoding.
 func (s *Server) storeGet(key string) (outcome, bool) {
 	if !s.storeUsable() {
 		return outcome{}, false
@@ -344,19 +348,15 @@ func (s *Server) storeGet(key string) (outcome, bool) {
 	return out, true
 }
 
-// storePut is the write-behind path after a successful computation. It
-// runs on the worker goroutine before waiters wake, so once a client has
-// its response the result is durable (the warm-restart contract).
-func (s *Server) storePut(key string, out outcome) {
+// storePut is the write-behind path after a successful computation: it
+// stores the outcome's encoding as it is. It runs on the worker goroutine
+// before waiters wake, so once a client has its response the result is
+// durable (the warm-restart contract).
+func (s *Server) storePut(key string, enc []byte) {
 	if !s.storeUsable() {
 		return
 	}
-	b, err := encodeOutcome(out)
-	if err != nil {
-		s.met.StoreErrors.Inc()
-		return
-	}
-	if err := s.store.Put(key, b); err != nil {
+	if err := s.store.Put(key, enc); err != nil {
 		s.degradeStore("write", err)
 		return
 	}
@@ -580,15 +580,18 @@ func (s *Server) leave(f *flight) {
 	}
 }
 
-// complete publishes a flight's outcome: successful results enter the RAM
-// cache and the durable store (write-behind, before waiters wake — once a
-// client holds a response, the result survives a restart), the flight
-// leaves the index (so later identical requests hit the cache instead),
-// and every waiter wakes.
+// complete publishes a flight's outcome: a successful result is encoded,
+// once, and enters the RAM cache and the durable store (write-behind,
+// before waiters wake — once a client holds a response, the result
+// survives a restart), the flight leaves the index (so later identical
+// requests hit the cache instead), and every waiter wakes.
 func (s *Server) complete(f *flight, out outcome) {
 	if out.err == nil {
+		out = encoded(out)
+	}
+	if out.err == nil {
 		s.cache.add(f.key, out)
-		s.storePut(f.key, out)
+		s.storePut(f.key, out.enc)
 	} else {
 		s.met.CellErrors.Inc()
 	}
@@ -754,7 +757,7 @@ func cellResult(key string, out outcome, cached bool) CellResult {
 	if out.err != nil {
 		return CellResult{Key: key, Error: wireErr(out.err)}
 	}
-	return CellResult{Key: key, Cached: cached, Run: out.run, Multi: out.multiRes, Replay: out.replay}
+	return CellResult{Key: key, Cached: cached, Run: out.run, Multi: out.multiRes, Replay: out.replay, enc: out.enc}
 }
 
 // ---- HTTP handlers ----
@@ -765,12 +768,48 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// writeJSON writes v as one line of compact JSON. A failed write is a
+// client that went away, and there is no one left to answer.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeSimulate writes the /v1/simulate body: byte for byte what
+// writeJSON writes for SimulateResponse{Results: results}, without
+// encoding any result again. A successful cell is spliced from its
+// outcome's encoding, {"run":...} or the like: CellResult's fields are
+// key, cached, then the one of run/multi/replay that storedOutcome holds,
+// and a key is 32 hex characters that need no escaping, so the head
+// {"key":"<key>","cached":<bool>, followed by the encoding without its
+// opening brace is json.Marshal of the CellResult. Error cells have no
+// encoding and go through encoding/json, which cannot fail on their
+// strings and bools. As in writeJSON, failed writes are dropped.
+func writeSimulate(w http.ResponseWriter, results []CellResult) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	head := append(make([]byte, 0, 96), `{"results":[`...)
+	for i, cr := range results {
+		if i > 0 {
+			head = append(head, ',')
+		}
+		body := cr.enc
+		if body == nil {
+			body, _ = json.Marshal(cr)
+		} else {
+			head = append(head, `{"key":"`...)
+			head = append(head, cr.Key...)
+			head = append(head, `","cached":`...)
+			head = strconv.AppendBool(head, cr.Cached)
+			head = append(head, ',')
+			body = body[1:]
+		}
+		_, _ = w.Write(head)
+		_, _ = w.Write(body)
+		head = head[:0]
+	}
+	_, _ = w.Write(append(head, "]}\n"...))
 }
 
 // errorBody is the top-level body of whole-request failures.
@@ -1017,8 +1056,9 @@ func (s *Server) release(tickets []ticket) {
 // /v1/explain: begin → decode → bound → canonicalize (in place) → admit
 // → submit all → await all → render. A cell that fails canonicalization
 // is answered with an "invalid" error in its slot and left zero in cells;
-// render receives the canonical cells and their results.
-func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, render func(cells []Request, results []CellResult) any) {
+// render receives the canonical cells and their results and writes the
+// 200 response.
+func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, render func(w http.ResponseWriter, cells []Request, results []CellResult)) {
 	defer s.observeLatency(time.Now())
 	tn, forwarded, ok := s.begin(w, r)
 	if !ok {
@@ -1066,12 +1106,12 @@ func (s *Server) serveCells(w http.ResponseWriter, r *http.Request, render func(
 			s.met.CellErrors.Inc()
 		}
 	}
-	writeJSON(w, http.StatusOK, render(cells, results))
+	render(w, cells, results)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	s.serveCells(w, r, func(_ []Request, results []CellResult) any {
-		return SimulateResponse{Results: results}
+	s.serveCells(w, r, func(w http.ResponseWriter, _ []Request, results []CellResult) {
+		writeSimulate(w, results)
 	})
 }
 

@@ -1,10 +1,16 @@
 package serve
 
 // The durable store holds opaque payloads; this file is the codec between
-// a completed outcome and those bytes. JSON is safe here because every
-// field of stats.Run and multi.Result is integral — the round trip is
-// exact, so a store-served response is byte-identical to the computed one
-// (the warm-restart differential pins this).
+// a completed outcome and those bytes. The payload is the compact JSON of
+// storedOutcome, and it is also the outcome's encoding (outcome.enc), the
+// tail every /v1/simulate cell serving the outcome splices (writeSimulate).
+// A node encodes each successful outcome once, where it enters the node:
+// the worker completing a flight and the ingress receiving a forwarded
+// reply call encoded, and a store hit keeps the payload it decoded. A
+// store-served response is therefore byte-identical to the computed one
+// by construction. JSON is safe here because every field of stats.Run,
+// multi.Result and trace.ReplayResult is integral: the decoded structs
+// that /v1/explain and /v1/experiment read are exactly the stored ones.
 
 import (
 	"encoding/json"
@@ -21,18 +27,22 @@ type storedOutcome struct {
 	Replay *trace.ReplayResult `json:"replay,omitempty"`
 }
 
-// encodeOutcome serialises a successful outcome for the store. Errored
-// outcomes are never stored (same policy as the RAM cache).
-func encodeOutcome(out outcome) ([]byte, error) {
-	if out.err != nil {
-		return nil, fmt.Errorf("serve: errored outcomes are not stored")
+// encoded returns a successful outcome carrying its encoding, the compact
+// JSON of storedOutcome. An outcome that cannot be encoded could be
+// neither stored nor served: it becomes an error.
+func encoded(out outcome) outcome {
+	b, err := json.Marshal(storedOutcome{Run: out.run, Multi: out.multiRes, Replay: out.replay})
+	if err != nil {
+		return outcome{err: fmt.Errorf("serve: encoding outcome: %w", err)}
 	}
-	return json.Marshal(storedOutcome{Run: out.run, Multi: out.multiRes, Replay: out.replay})
+	out.enc = b
+	return out
 }
 
-// decodeOutcome parses a store payload back into an outcome. The payload
-// already passed the store's checksum, so a decode failure means a codec
-// or version bug — the caller drops the entry and recomputes.
+// decodeOutcome parses a store payload back into an outcome, which keeps
+// the payload as its encoding. The payload already passed the store's
+// checksum, so a decode failure means a codec or version bug — the caller
+// drops the entry and recomputes.
 func decodeOutcome(b []byte) (outcome, error) {
 	var so storedOutcome
 	if err := json.Unmarshal(b, &so); err != nil {
@@ -41,7 +51,7 @@ func decodeOutcome(b []byte) (outcome, error) {
 	if exactlyOne(so.Run != nil, so.Multi != nil, so.Replay != nil) != 1 {
 		return outcome{}, fmt.Errorf("serve: stored outcome needs exactly one of run/multi/replay")
 	}
-	return outcome{run: so.Run, multiRes: so.Multi, replay: so.Replay}, nil
+	return outcome{run: so.Run, multiRes: so.Multi, replay: so.Replay, enc: b}, nil
 }
 
 // exactlyOne counts set flags; callers compare against 1.

@@ -154,11 +154,11 @@ func TestStoreCodecTraceOutcome(t *testing.T) {
 		Total:    trace.SegmentResult{Events: 10, Refs: 6, Loads: 5, Stores: 1, L1Misses: 2, L2Misses: 1, Tids: 1},
 		Segments: []trace.SegmentResult{{Events: 10, Refs: 6, Loads: 5, Stores: 1, L1Misses: 2, L2Misses: 1, Tids: 1}},
 	}
-	b, err := encodeOutcome(outcome{replay: res})
-	if err != nil {
-		t.Fatal(err)
+	out := encoded(outcome{replay: res})
+	if out.err != nil {
+		t.Fatal(out.err)
 	}
-	back, err := decodeOutcome(b)
+	back, err := decodeOutcome(out.enc)
 	if err != nil {
 		t.Fatal(err)
 	}
