@@ -26,6 +26,10 @@ race:
 race-serve:
 	$(GO) test -race ./internal/serve/ ./internal/cluster/ ./internal/sched/ ./internal/obs/ ./internal/trace/
 
+# fuzz runs every fuzz target for 10 s from its committed seed corpus.
+# A progress window that reports "0 execs/s" is the engine minimizing a
+# new interesting input (up to -fuzzminimizetime, 60 s by default), not a
+# stall; a long local run can pass -fuzzminimizetime=5s to keep exploring.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/isa
@@ -33,6 +37,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseLine -fuzztime=10s ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCells -fuzztime=10s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzTenantsFile -fuzztime=10s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeOutcome -fuzztime=10s ./internal/serve
 
 # fuzz-diff is the cross-engine differential fuzzer (internal/progen):
 # seeded random programs must produce bit-identical architectural state

@@ -85,8 +85,9 @@ func main() {
 	opt.Policy = *policy
 	opt.Ctx = ctx
 	opt.Workers = *jobs
-	// The obs sinks are goroutine-safe, so one session serves the whole
-	// worker pool; metrics aggregate across all cells of the sweep.
+	// The trace sink and the metrics are goroutine-safe, so one session
+	// serves the whole worker pool; metrics aggregate across all cells of
+	// the sweep.
 	opt.Obs = sess.Sim
 	opt.Trace = sess.Trace()
 	opt.TraceEvery = sess.TraceEvery()

@@ -58,9 +58,6 @@ func (b *Builder) errf(format string, args ...any) {
 // instruction).
 func (b *Builder) Pos() int { return len(b.text) }
 
-// PCHere returns the byte address of the next emitted instruction.
-func (b *Builder) PCHere() uint64 { return b.base + uint64(len(b.text))*isa.InstBytes }
-
 // Label defines name at the current position.
 func (b *Builder) Label(name string) {
 	if _, dup := b.labels[name]; dup {

@@ -427,17 +427,6 @@ func opByName(name string) (isa.Op, error) {
 	return 0, fmt.Errorf("asm: unknown op name %q", name)
 }
 
-// MustOp returns the opcode with the given assembler name, panicking when
-// it is unknown; for tests and static tables only (documented Must*
-// helper). Library code uses the error-returning lookup.
-func MustOp(name string) isa.Op {
-	o, err := opByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return o
-}
-
 func firstErr(errs ...error) error {
 	for _, e := range errs {
 		if e != nil {

@@ -237,9 +237,3 @@ func Named(name string) (NamedExperiment, error) {
 	}
 	return NamedExperiment{}, fmt.Errorf("experiments: unknown experiment %q", name)
 }
-
-// NamedExperimentNames lists the experiments Named resolves, in the order
-// cmd/handlerbench runs them.
-func NamedExperimentNames() []string {
-	return []string{"fig2", "fig3", "h100", "condcode", "sampling", "counters", "prefetch"}
-}

@@ -135,7 +135,7 @@ type Options struct {
 	// Trace, when non-nil, receives sampled TraceEvents from every cell
 	// (TraceEvery selects the source-side 1-in-N sampling; 0 or 1 traces
 	// every instruction). The callback must be goroutine-safe when
-	// Workers != 1 — the obs sinks are.
+	// Workers != 1, as obs.JSONLSink's Emit is.
 	Trace      func(stats.TraceEvent)
 	TraceEvery uint64
 }

@@ -287,10 +287,6 @@ func (f *FaultyFS) ReadDir(name string) ([]os.DirEntry, error) {
 	return os.ReadDir(name)
 }
 
-func (f *FaultyFS) Stat(name string) (os.FileInfo, error) {
-	return os.Stat(name)
-}
-
 func (f *FaultyFS) Chtimes(name string, atime, mtime time.Time) error {
 	return os.Chtimes(name, atime, mtime)
 }

@@ -23,9 +23,6 @@ type CacheConfig struct {
 // Sets returns the number of sets implied by the configuration.
 func (c CacheConfig) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
-// Validate checks the configuration.
-func (c CacheConfig) Validate() error { return c.validate() }
-
 func (c CacheConfig) validate() error {
 	switch {
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
@@ -124,9 +121,6 @@ func MustCache(cfg CacheConfig) *Cache {
 	}
 	return c
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // Line returns the line address (addr with the offset bits cleared).
 func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }

@@ -85,9 +85,6 @@ func MustTiming(cfg TimingConfig) *Timing {
 	return t
 }
 
-// Config returns the timing configuration.
-func (t *Timing) Config() TimingConfig { return t.cfg }
-
 func (t *Timing) line(addr uint64) uint64 { return addr >> t.lineShift }
 
 // expire frees entries whose fills have completed (unless held).

@@ -54,7 +54,7 @@ type Session struct {
 	// HTTP endpoint are all disabled.
 	Sim *Sim
 
-	sink         Sink
+	sink         *JSONLSink
 	traceEvery   uint64
 	printMetrics bool
 	errw         io.Writer
@@ -88,7 +88,7 @@ func (f *Flags) Start(errw io.Writer) (*Session, error) {
 			w = file
 		}
 		// Sampling happens at the source (TraceEvery), so the sink keeps
-		// everything it is offered; the sink-side sampler stays at 1.
+		// everything it is offered.
 		s.sink = NewJSONL(w, 1)
 		s.traceEvery = 1
 		if *f.traceSample > 1 {
@@ -123,9 +123,6 @@ func (s *Session) Trace() func(stats.TraceEvent) {
 // TraceEvery knob (0 when tracing is disabled: the engines then never
 // construct an event at all).
 func (s *Session) TraceEvery() uint64 { return s.traceEvery }
-
-// Enabled reports whether any observability feature is active.
-func (s *Session) Enabled() bool { return s.Sim != nil || s.sink != nil }
 
 // Close stops the progress reporter, shuts the HTTP endpoint, flushes and
 // closes the trace sink, and — when -metrics was given — prints the

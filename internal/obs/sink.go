@@ -11,107 +11,6 @@ import (
 	"informing/internal/stats"
 )
 
-// Sink consumes per-instruction trace events. Emit must be safe for
-// concurrent use: parallel experiment sweeps (internal/sched) funnel the
-// trace streams of all workers into one sink. Flush forces buffered
-// events out so an aborted run (govern.ErrBudget, ErrLivelock, SIGINT)
-// still leaves a well-formed partial trace behind; Close implies Flush
-// and is idempotent.
-type Sink interface {
-	Emit(ev stats.TraceEvent)
-	Flush() error
-	Close() error
-}
-
-// sampler implements deterministic 1-in-N keep-every-Nth sampling shared
-// by the sinks. every <= 1 keeps everything.
-type sampler struct {
-	every uint64
-	seen  uint64
-}
-
-func (s *sampler) keep() bool {
-	if s.every <= 1 {
-		return true
-	}
-	s.seen++
-	if s.seen == s.every {
-		s.seen = 0
-		return true
-	}
-	return false
-}
-
-// RingSink keeps the most recent events in a bounded ring buffer with
-// optional 1-in-N sampling: cheap enough to leave attached to a long run
-// and inspect after the fact (or at abort). The buffer is allocated once
-// at construction; Emit never allocates.
-type RingSink struct {
-	mu      sync.Mutex
-	samp    sampler
-	buf     []stats.TraceEvent
-	next    int
-	wrapped bool
-	total   uint64 // events offered (pre-sampling)
-	kept    uint64 // events written into the ring
-}
-
-// NewRing builds a ring sink holding the last capacity sampled events,
-// keeping one event in every sampleEvery offered (<= 1 keeps all).
-func NewRing(capacity int, sampleEvery int) (*RingSink, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("obs: ring capacity %d, want >= 1", capacity)
-	}
-	s := &RingSink{buf: make([]stats.TraceEvent, capacity)}
-	if sampleEvery > 1 {
-		s.samp.every = uint64(sampleEvery)
-	}
-	return s, nil
-}
-
-// Emit implements Sink.
-func (r *RingSink) Emit(ev stats.TraceEvent) {
-	r.mu.Lock()
-	r.total++
-	if r.samp.keep() {
-		r.buf[r.next] = ev
-		if r.next++; r.next == len(r.buf) {
-			r.next = 0
-			r.wrapped = true
-		}
-		r.kept++
-	}
-	r.mu.Unlock()
-}
-
-// Flush implements Sink (a ring has nothing buffered downstream).
-func (r *RingSink) Flush() error { return nil }
-
-// Close implements Sink.
-func (r *RingSink) Close() error { return nil }
-
-// Events returns the buffered events, oldest first.
-func (r *RingSink) Events() []stats.TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapped {
-		out := make([]stats.TraceEvent, r.next)
-		copy(out, r.buf[:r.next])
-		return out
-	}
-	out := make([]stats.TraceEvent, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Stats reports how many events were offered and how many were kept.
-func (r *RingSink) Stats() (total, kept uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total, r.kept
-}
-
 // traceJSON is the stable JSONL schema of one trace event
 // (EXPERIMENTS.md documents it; cmd/tracecheck validates it).
 // appendTraceJSON is the encoder — the struct exists as schema
@@ -222,14 +121,17 @@ func appendTraceJSON(b []byte, ev *stats.TraceEvent) []byte {
 	return b
 }
 
-// JSONLSink streams sampled trace events as one JSON object per line
-// through a buffered writer. Events sit in the buffer until Flush/Close —
-// which is exactly why every abort path must route through Flush (the
-// satellite bug this layer fixes): without it a govern abort loses the
-// tail of the trace.
+// JSONLSink streams trace events as one JSON object per line through a
+// buffered writer. Emit is safe for concurrent use: parallel experiment
+// sweeps (internal/sched) funnel the trace streams of all workers into one
+// sink. Events sit in the buffer until Flush/Close, which is why every
+// abort path (govern.ErrBudget, ErrLivelock, SIGINT) must route through
+// Flush: without it an aborted run loses the tail of the trace. Close
+// implies Flush and is idempotent.
 type JSONLSink struct {
 	mu      sync.Mutex
-	samp    sampler
+	every   uint64 // keep one event in every this many offered; <= 1 keeps all
+	seen    uint64 // events offered since the last kept one
 	bw      *bufio.Writer
 	under   io.Writer
 	scratch []byte // reused line-encoding buffer (guarded by mu)
@@ -237,26 +139,33 @@ type JSONLSink struct {
 	err     error // first write error, surfaced by Flush/Close
 }
 
-// NewJSONL builds a JSONL sink writing to w, keeping one event in every
-// sampleEvery offered (<= 1 keeps all). If w is an io.Closer, Close
+// NewJSONL builds a JSONL sink writing to w, keeping every sampleEvery-th
+// event offered (<= 1 keeps all). Every command samples at the source
+// (pipe.Config.TraceEvery) and passes 1. If w is an io.Closer, Close
 // closes it after the final flush.
 func NewJSONL(w io.Writer, sampleEvery int) *JSONLSink {
 	s := &JSONLSink{bw: bufio.NewWriterSize(w, 64<<10), under: w}
 	if sampleEvery > 1 {
-		s.samp.every = uint64(sampleEvery)
+		s.every = uint64(sampleEvery)
 	}
 	return s
 }
 
-// Emit implements Sink. The line is built with the allocation-free append
+// Emit writes one event. The line is built with the allocation-free append
 // encoder into a buffer reused across calls: with tracing enabled the sink
 // is on the simulators' per-instruction path, and encoding/json here costs
 // more than the whole §11 overhead budget.
 func (s *JSONLSink) Emit(ev stats.TraceEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.err != nil || !s.samp.keep() {
+	if s.closed || s.err != nil {
 		return
+	}
+	if s.every > 1 {
+		if s.seen++; s.seen < s.every {
+			return
+		}
+		s.seen = 0
 	}
 	s.scratch = appendTraceJSON(s.scratch[:0], &ev)
 	s.scratch = append(s.scratch, '\n')
@@ -265,9 +174,9 @@ func (s *JSONLSink) Emit(ev stats.TraceEvent) {
 	}
 }
 
-// Flush implements Sink: buffered lines reach the underlying writer. A
-// partial trace flushed mid-run is still well-formed JSONL (events are
-// written whole lines at a time through the buffer).
+// Flush writes buffered lines to the underlying writer. A partial trace
+// flushed mid-run is still well-formed JSONL (events are written whole
+// lines at a time through the buffer).
 func (s *JSONLSink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -285,8 +194,8 @@ func (s *JSONLSink) flushLocked() error {
 	return nil
 }
 
-// Close implements Sink: flush, then close the underlying writer when it
-// is an io.Closer. Idempotent.
+// Close flushes, then closes the underlying writer when it is an
+// io.Closer. Idempotent.
 func (s *JSONLSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,37 +210,4 @@ func (s *JSONLSink) Close() error {
 		}
 	}
 	return err
-}
-
-// Tee fans one trace stream out to several sinks.
-type Tee []Sink
-
-// Emit implements Sink.
-func (t Tee) Emit(ev stats.TraceEvent) {
-	for _, s := range t {
-		s.Emit(ev)
-	}
-}
-
-// Flush implements Sink, returning the first error.
-func (t Tee) Flush() error {
-	var first error
-	for _, s := range t {
-		if err := s.Flush(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Close implements Sink, closing every sink and returning the first
-// error.
-func (t Tee) Close() error {
-	var first error
-	for _, s := range t {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -18,57 +18,6 @@ func ev(seq uint64) stats.TraceEvent {
 		Fetch: int64(seq), Issue: int64(seq) + 1, Complete: int64(seq) + 2, Graduate: int64(seq) + 3}
 }
 
-func TestRingSinkSampling(t *testing.T) {
-	r, err := NewRing(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 12; i++ {
-		r.Emit(ev(i))
-	}
-	total, kept := r.Stats()
-	if total != 12 || kept != 4 {
-		t.Errorf("stats = (%d, %d), want (12, 4)", total, kept)
-	}
-	// keep-every-3rd keeps seqs 2, 5, 8, 11.
-	got := r.Events()
-	want := []uint64{2, 5, 8, 11}
-	if len(got) != len(want) {
-		t.Fatalf("%d events, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Seq != want[i] {
-			t.Errorf("event %d seq = %d, want %d", i, got[i].Seq, want[i])
-		}
-	}
-}
-
-func TestRingSinkWrapOldestFirst(t *testing.T) {
-	r, err := NewRing(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 5; i++ {
-		r.Emit(ev(i))
-	}
-	got := r.Events()
-	want := []uint64{2, 3, 4}
-	if len(got) != 3 {
-		t.Fatalf("%d events, want 3", len(got))
-	}
-	for i := range got {
-		if got[i].Seq != want[i] {
-			t.Errorf("event %d seq = %d, want %d (oldest first)", i, got[i].Seq, want[i])
-		}
-	}
-}
-
-func TestRingSinkRejectsBadCapacity(t *testing.T) {
-	if _, err := NewRing(0, 1); err == nil {
-		t.Error("NewRing(0, 1) did not error")
-	}
-}
-
 func TestJSONLSinkRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONL(&buf, 2)
@@ -178,22 +127,6 @@ func TestJSONLSinkStickyWriteError(t *testing.T) {
 	}
 	if err := s.Flush(); !errors.Is(err, werr) {
 		t.Errorf("Flush error = %v, want wrapped %v", err, werr)
-	}
-}
-
-func TestTee(t *testing.T) {
-	r1, _ := NewRing(8, 1)
-	r2, _ := NewRing(8, 1)
-	tee := Tee{r1, r2}
-	tee.Emit(ev(0))
-	if err := tee.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tee.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Events()) != 1 || len(r2.Events()) != 1 {
-		t.Error("tee did not fan out to both sinks")
 	}
 }
 

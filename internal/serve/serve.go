@@ -322,8 +322,8 @@ func (s *Server) degradeStore(op string, err error) {
 
 // storeGet is the read-through path under an LRU miss. Any failure mode
 // ends in (outcome{}, false) — the caller computes; corrupt payloads were
-// already quarantined by the store, undecodable ones are dropped here. A
-// hit keeps the payload as the outcome's encoding.
+// already quarantined by the store, undecodable or non-canonical ones are
+// dropped here. A hit's encoding equals its payload.
 func (s *Server) storeGet(key string) (outcome, bool) {
 	if !s.storeUsable() {
 		return outcome{}, false

@@ -6,13 +6,18 @@ package serve
 // tail every /v1/simulate cell serving the outcome splices (writeSimulate).
 // A node encodes each successful outcome once, where it enters the node:
 // the worker completing a flight and the ingress receiving a forwarded
-// reply call encoded, and a store hit keeps the payload it decoded. A
-// store-served response is therefore byte-identical to the computed one
-// by construction. JSON is safe here because every field of stats.Run,
-// multi.Result and trace.ReplayResult is integral: the decoded structs
-// that /v1/explain and /v1/experiment read are exactly the stored ones.
+// reply call encoded. A store hit is served from its payload only if the
+// payload is canonical: byte for byte what encoded writes for the value it
+// decodes to. A payload with leading space, an unknown field or any other
+// spelling is dropped like an undecodable one, so writeSimulate never
+// splices bytes that encoding/json would not have written. A
+// store-served response is therefore byte-identical to the computed one.
+// JSON is safe here because every field of stats.Run, multi.Result and
+// trace.ReplayResult is integral: the decoded structs that /v1/explain
+// and /v1/experiment read are exactly the stored ones.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -39,10 +44,10 @@ func encoded(out outcome) outcome {
 	return out
 }
 
-// decodeOutcome parses a store payload back into an outcome, which keeps
-// the payload as its encoding. The payload already passed the store's
-// checksum, so a decode failure means a codec or version bug — the caller
-// drops the entry and recomputes.
+// decodeOutcome parses a store payload back into an outcome carrying its
+// encoding, and accepts the payload only in the canonical form encoded
+// writes. The payload already passed the store's checksum, so a rejection
+// means a codec or version bug: the caller drops the entry and recomputes.
 func decodeOutcome(b []byte) (outcome, error) {
 	var so storedOutcome
 	if err := json.Unmarshal(b, &so); err != nil {
@@ -51,7 +56,14 @@ func decodeOutcome(b []byte) (outcome, error) {
 	if exactlyOne(so.Run != nil, so.Multi != nil, so.Replay != nil) != 1 {
 		return outcome{}, fmt.Errorf("serve: stored outcome needs exactly one of run/multi/replay")
 	}
-	return outcome{run: so.Run, multiRes: so.Multi, replay: so.Replay, enc: b}, nil
+	out := encoded(outcome{run: so.Run, multiRes: so.Multi, replay: so.Replay})
+	if out.err != nil {
+		return outcome{}, out.err
+	}
+	if !bytes.Equal(out.enc, b) {
+		return outcome{}, fmt.Errorf("serve: stored outcome is not in canonical form")
+	}
+	return out, nil
 }
 
 // exactlyOne counts set flags; callers compare against 1.

@@ -66,7 +66,6 @@ type FS interface {
 	WriteFile(name string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
-	Stat(name string) (os.FileInfo, error)
 	Chtimes(name string, atime, mtime time.Time) error
 }
 
@@ -79,7 +78,6 @@ func (OSFS) ReadFile(name string) ([]byte, error)              { return os.ReadF
 func (OSFS) WriteFile(n string, d []byte, p os.FileMode) error { return os.WriteFile(n, d, p) }
 func (OSFS) Rename(oldpath, newpath string) error              { return os.Rename(oldpath, newpath) }
 func (OSFS) Remove(name string) error                          { return os.Remove(name) }
-func (OSFS) Stat(name string) (os.FileInfo, error)             { return os.Stat(name) }
 func (OSFS) Chtimes(n string, a, m time.Time) error            { return os.Chtimes(n, a, m) }
 
 // Options parameterise Open.

@@ -52,9 +52,6 @@ func (g *Gen) fail(err error) {
 	}
 }
 
-// Err returns the first structural error recorded while generating.
-func (g *Gen) Err() error { return g.err }
-
 // loopRegs are reserved for nested counted loops.
 var loopRegs = [...]isa.Reg{isa.R16, isa.R17, isa.R18, isa.R19}
 
