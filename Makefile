@@ -38,6 +38,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeCells -fuzztime=10s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzTenantsFile -fuzztime=10s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeOutcome -fuzztime=10s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=^FuzzForwardReply$$ -fuzztime=10s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=^FuzzStoreEntry$$ -fuzztime=10s ./internal/store
 
 # fuzz-diff is the cross-engine differential fuzzer (internal/progen):
 # seeded random programs must produce bit-identical architectural state

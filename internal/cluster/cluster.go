@@ -441,7 +441,16 @@ func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte, h
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	// A body of declared length is read into a buffer of exactly that
+	// size, not one grown in steps: the serving layer keeps a forwarded
+	// result as a slice of it, for as long as its cache holds the result.
+	var respBody []byte
+	if n := resp.ContentLength; n > 0 && n <= 1<<20 {
+		respBody = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, respBody)
+	} else {
+		respBody, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
 		ps.markDown(c, err.Error(), false)
 		c.forwardErrors.Inc()

@@ -110,7 +110,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.serveCells(w, r, func(w http.ResponseWriter, cells []Request, results []CellResult) {
 		out := make([]ExplainResult, len(results))
 		for i, cr := range results {
-			out[i] = explainResult(cr, cells[i].Policy)
+			out[i] = explainResult(cr.decoded(), cells[i].Policy)
 		}
 		writeJSON(w, http.StatusOK, ExplainResponse{Results: out})
 	})

@@ -12,10 +12,11 @@ package serve
 //
 // Concurrent identical requests at the ingress share one forward (the
 // remotes map, single-flight for the network hop), and a successful
-// remote outcome warms the ingress RAM cache so repeats are served with
-// zero hops. The durable store stays owner-only: exactly one node is
-// responsible for a fingerprint's durability, and a warm restart of any
-// node re-fills the rest of the cluster through normal forwarding.
+// remote outcome warms the ingress RAM cache with the owner's bytes, not
+// decoded (sliceReply), so repeats are served with zero hops. The
+// durable store stays owner-only: exactly one node is responsible for a
+// fingerprint's durability, and a warm restart of any node re-fills the
+// rest of the cluster through normal forwarding.
 //
 // Failure policy (DESIGN.md §15): a peer that cannot be reached, is on a
 // different code version, or answers anything other than a well-formed
@@ -31,6 +32,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"informing/internal/cluster"
 	"informing/internal/govern"
@@ -175,34 +178,54 @@ func (s *Server) forwardToOwner(key string, c Request, tn *tenant, owner string)
 		s.cfg.Logf("serve: forward %s to %s answered %d, computing locally", key, owner, status)
 		return outcome{}, false, false
 	}
-	var sr SimulateResponse
-	if err := json.Unmarshal(respBody, &sr); err != nil || len(sr.Results) != 1 {
-		s.cfg.Logf("serve: forward %s to %s returned an undecodable body, computing locally", key, owner)
+	out, cached, ok = sliceReply(respBody, key)
+	if !ok {
+		s.cfg.Logf("serve: forward %s to %s returned an unexpected body, computing locally", key, owner)
 		return outcome{}, false, false
 	}
-	cr := sr.Results[0]
-	if cr.Error != nil {
-		if cr.Error.Code == CodeCanceled {
-			// Transient owner-side cancellation (e.g. the owner began
-			// draining mid-batch) — not a verdict about the simulation.
-			return outcome{}, false, false
-		}
-		// Deterministic simulation verdict (invalid, budget, livelock):
-		// recomputing locally would reproduce it. Authoritative.
-		return outcome{err: cr.Error}, false, true
-	}
-	if exactlyOne(cr.Run != nil, cr.Multi != nil, cr.Replay != nil) != 1 {
-		return outcome{}, false, false
-	}
-	// Encode the reply once, as this node's copy of the result, and warm
-	// the ingress LRU with it: repeats at this node are then zero-hop. The
-	// durable store is NOT written — durability is the owner's job.
-	out = encoded(outcome{run: cr.Run, multiRes: cr.Multi, replay: cr.Replay})
-	if out.err == nil {
+	// The owner's bytes warm the ingress LRU; the durable store is NOT
+	// written — durability is the owner's job.
+	if enc := out.enc; out.err == nil {
+		out.lazy = sync.OnceValues(func() (outcome, error) { return decodeOutcome(enc) })
 		s.cache.add(key, out)
 	}
-	return out, cr.Cached, true
+	return out, cached, true
 }
+
+// sliceReply takes apart an owner's answer to a one-cell hop for key,
+// exactly what writeSimulate writes: {"results":[{"key":"<key>","cached":
+// <bool>, the result's encoding without its opening brace, ]}\n. The
+// encoding is rebuilt in place, that comma turned into a brace, and
+// checked with json.Valid alone (DESIGN.md §12). An error cell decodes
+// its WireError, a verdict unless canceled. ok=false: any other shape.
+func sliceReply(body []byte, key string) (out outcome, cached, ok bool) {
+	const head, mid, tail = `{"results":[{"key":"`, `","cached":`, "]}\n"
+	i := len(head) + len(key) + len(mid)
+	if !hasPrefix(body, head) || !hasPrefix(body[len(head):], key) || !hasPrefix(body[i-len(mid):], mid) ||
+		!hasPrefix(body[len(body)-len(tail):], tail) {
+		return outcome{}, false, false
+	}
+	if cached = hasPrefix(body[i:], "true,"); !cached && !hasPrefix(body[i:], "false,") {
+		return outcome{}, false, false
+	}
+	enc := body[i+len(strconv.FormatBool(cached)) : len(body)-len(tail)]
+	enc[0] = '{'
+	if hasPrefix(enc, `{"error":`) {
+		var ec struct{ Error *WireError }
+		ok = json.Unmarshal(enc, &ec) == nil && ec.Error != nil && ec.Error.Code != CodeCanceled
+		return outcome{err: ec.Error}, false, ok
+	}
+	for _, field := range [...]string{`{"run":{`, `{"multi":{`, `{"replay":{`} {
+		if hasPrefix(enc, field) { // one object, then the result's last brace
+			v := enc[len(field)-1 : len(enc)-1]
+			return outcome{enc: enc}, cached, hasPrefix(enc[len(enc)-2:], "}}") && json.Valid(v)
+		}
+	}
+	return outcome{}, false, false
+}
+
+// hasPrefix is bytes.HasPrefix against a string, without converting it.
+func hasPrefix(b []byte, s string) bool { return len(b) >= len(s) && string(b[:len(s)]) == s }
 
 // localFallback computes a non-owned fingerprint on this node after its
 // owner failed to answer: a blocking submit onto the local queue (the

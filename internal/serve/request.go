@@ -304,7 +304,8 @@ type CellResult struct {
 	Replay *trace.ReplayResult `json:"replay,omitempty"`
 	Error  *WireError          `json:"error,omitempty"`
 
-	enc []byte // the served outcome's encoding; nil on error cells
+	enc  []byte                  // the served outcome's encoding; nil on error cells
+	lazy func() (outcome, error) // outcome.lazy: decodes a forwarded result
 }
 
 // SimulateRequest is the body of POST /v1/simulate: a batch of cells

@@ -167,6 +167,7 @@ type outcome struct {
 	multiRes *multi.Result
 	replay   *trace.ReplayResult
 	enc      []byte
+	lazy     func() (outcome, error) // a forwarded outcome's fields, decoded once for all copies
 	err      error
 }
 
@@ -757,7 +758,17 @@ func cellResult(key string, out outcome, cached bool) CellResult {
 	if out.err != nil {
 		return CellResult{Key: key, Error: wireErr(out.err)}
 	}
-	return CellResult{Key: key, Cached: cached, Run: out.run, Multi: out.multiRes, Replay: out.replay, enc: out.enc}
+	return CellResult{Key: key, Cached: cached, Run: out.run, Multi: out.multiRes, Replay: out.replay, enc: out.enc, lazy: out.lazy}
+}
+
+// decoded sets a forwarded result's fields, for the consumers that read
+// them: /v1/explain and /v1/experiment; /v1/simulate splices enc.
+func (cr CellResult) decoded() CellResult {
+	if cr.lazy != nil {
+		out, err := cr.lazy()
+		cr = cellResult(cr.Key, outcome{run: out.run, multiRes: out.multiRes, replay: out.replay, err: err}, cr.Cached)
+	}
+	return cr
 }
 
 // ---- HTTP handlers ----
@@ -1237,7 +1248,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	results := make([]experiments.Result, len(cells))
 	for i, t := range tickets {
-		cr := s.await(r.Context(), t)
+		cr := s.await(r.Context(), t).decoded()
 		if cr.Error != nil {
 			// The experiment fails as a whole.
 			s.release(tickets[i+1:])

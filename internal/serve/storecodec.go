@@ -4,14 +4,14 @@ package serve
 // a completed outcome and those bytes. The payload is the compact JSON of
 // storedOutcome, and it is also the outcome's encoding (outcome.enc), the
 // tail every /v1/simulate cell serving the outcome splices (writeSimulate).
-// A node encodes each successful outcome once, where it enters the node:
-// the worker completing a flight and the ingress receiving a forwarded
-// reply call encoded. A store hit is served from its payload only if the
-// payload is canonical: byte for byte what encoded writes for the value it
-// decodes to. A payload with leading space, an unknown field or any other
-// spelling is dropped like an undecodable one, so writeSimulate never
-// splices bytes that encoding/json would not have written. A
-// store-served response is therefore byte-identical to the computed one.
+// A node encodes each successful outcome once, where it is computed;
+// the ingress keeps a forwarded reply's bytes (sliceReply). A store hit
+// is served from its payload only if the payload is canonical: byte for
+// byte what encoded writes for the value it decodes to. A payload with
+// leading space, an unknown field or any other spelling is dropped like
+// an undecodable one, so writeSimulate never splices bytes that
+// encoding/json would not have written. A store-served response is
+// therefore byte-identical to the computed one.
 // JSON is safe here because every field of stats.Run, multi.Result and
 // trace.ReplayResult is integral: the decoded structs that /v1/explain
 // and /v1/experiment read are exactly the stored ones.
@@ -53,7 +53,13 @@ func decodeOutcome(b []byte) (outcome, error) {
 	if err := json.Unmarshal(b, &so); err != nil {
 		return outcome{}, fmt.Errorf("serve: stored outcome: %w", err)
 	}
-	if exactlyOne(so.Run != nil, so.Multi != nil, so.Replay != nil) != 1 {
+	set := 0
+	for _, f := range [...]bool{so.Run != nil, so.Multi != nil, so.Replay != nil} {
+		if f {
+			set++
+		}
+	}
+	if set != 1 {
 		return outcome{}, fmt.Errorf("serve: stored outcome needs exactly one of run/multi/replay")
 	}
 	out := encoded(outcome{run: so.Run, multiRes: so.Multi, replay: so.Replay})
@@ -64,15 +70,4 @@ func decodeOutcome(b []byte) (outcome, error) {
 		return outcome{}, fmt.Errorf("serve: stored outcome is not in canonical form")
 	}
 	return out, nil
-}
-
-// exactlyOne counts set flags; callers compare against 1.
-func exactlyOne(flags ...bool) int {
-	n := 0
-	for _, f := range flags {
-		if f {
-			n++
-		}
-	}
-	return n
 }

@@ -332,7 +332,8 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return payload, true, nil
 }
 
-// verify checks blob's header against key and returns the payload.
+// verify checks blob's header against key and returns the payload. The
+// entry must be byte for byte what Put writes for that payload.
 func (s *Store) verify(key string, blob []byte) ([]byte, error) {
 	nl := strings.IndexByte(string(blob[:min(len(blob), 256)]), '\n')
 	if nl < 0 {
@@ -362,9 +363,14 @@ func (s *Store) verify(key string, blob []byte) ([]byte, error) {
 	if len(payload) != wantLen {
 		return nil, fmt.Errorf("payload %d bytes, header says %d (torn write?)", len(payload), wantLen)
 	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != fields[5] {
+	want := s.header(key, payload) // ends in the checksum's 64 hex digits and \n
+	if fields[5] != want[len(want)-65:len(want)-1] {
 		return nil, fmt.Errorf("checksum mismatch")
+	}
+	// Only the header Put writes: "+24" for 24 or a doubled space would
+	// otherwise pass every check above.
+	if string(blob[:nl+1]) != want {
+		return nil, fmt.Errorf("header %q is not in canonical form", blob[:nl])
 	}
 	return payload, nil
 }

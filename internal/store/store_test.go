@@ -459,3 +459,38 @@ func TestStoreRecoveryEqualMtimesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// FuzzStoreEntry writes an arbitrary blob as the one entry of a store
+// directory, then opens the store and reads the entry's key. Neither may
+// panic or fail, and Get either serves a payload whose entry is byte for
+// byte what Put writes for it, header included, or quarantines the entry
+// and misses. The seed corpus holds a good entry, a torn write, a bad
+// magic, a wrong key, a negative length and a flipped checksum digit.
+func FuzzStoreEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, versionFile), []byte(testVersion+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key(1)+entrySuffix), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := openTest(t, dir, nil)
+		payload, ok, err := s.Get(key(1))
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if ok {
+			if entry := s.header(key(1), payload) + string(payload); entry != string(blob) {
+				t.Fatalf("served %q from entry %q, whose canonical form is %q", payload, blob, entry)
+			}
+			return
+		}
+		if q := s.Stats().Quarantined; q != 1 {
+			t.Fatalf("entry %q missed with %d quarantined, want 1", blob, q)
+		}
+		if _, ok, _ := s.Get(key(1)); ok {
+			t.Fatalf("quarantined entry %q served on a second read", blob)
+		}
+	})
+}
