@@ -240,18 +240,22 @@ func HandlerOverhead(bms []workload.Benchmark, specs []PlanSpec, opt Options) ([
 	}
 
 	out, err := sched.Map(opt.Ctx, opt.Workers, jobs)
+	Normalize(out, len(specs), baseIdx)
+	return out, err
+}
 
-	// Normalisation happens after the join: each (benchmark, machine)
-	// group of len(specs) results is scaled by its baseline run. On a
-	// partial (errored) sweep the tail group may be truncated before its
-	// baseline; those results keep a zero Norm.
-	for i := range out {
-		base := i - i%len(specs) + baseIdx
-		if base < len(out) {
-			out[i].Norm = out[i].Run.NormalizeTo(out[base].Run)
+// Normalize sets each result's Norm after the join: results form
+// (benchmark, machine) groups of group consecutive results, each scaled
+// by the group's result at baseIdx. On a partial (errored) sweep the
+// tail group may be truncated before its baseline; those results keep a
+// zero Norm.
+func Normalize(results []Result, group, baseIdx int) {
+	for i := range results {
+		base := i - i%group + baseIdx
+		if base < len(results) {
+			results[i].Norm = results[i].Run.NormalizeTo(results[base].Run)
 		}
 	}
-	return out, err
 }
 
 // PrefetchPlans returns the §6 case-study bars: the baseline against

@@ -1,25 +1,16 @@
 package mem
 
 import (
-	"container/list"
 	"math/rand"
 	"testing"
 
 	"informing/internal/stats"
 )
 
-// refModel is the part of the naive reference caches (refCache for LRU,
-// refPolicyCache for the RRIP family) the taxonomy oracle drives.
-type refModel interface {
-	access(addr uint64, write bool) (hit bool, writeback uint64, wb bool)
-	invalidate(addr uint64) bool
-	flush()
-}
-
 // taxOracle is an independent, deliberately naive model of the miss
 // taxonomy: Hill's definitions applied directly to the reference stream
-// of a naive reference cache, with Go maps and a container/list instead
-// of the classifier's tag table, node pool and way memo.
+// of refCache, with a Go map and a second refCache instead of the
+// classifier's tag table, node pool and way memo.
 //
 //   - compulsory: the first miss on a line;
 //   - coherence: the first miss after a coherence invalidation removed
@@ -29,79 +20,55 @@ type refModel interface {
 //     line count);
 //   - capacity: any other miss.
 //
-// The fully-associative model is pure recency: every reference, hit or
-// miss, moves its line to the front; invalidations leave it alone; a
+// The fully-associative model is refCache built as one set of as many
+// ways as the cache has lines, under LRU, and is pure recency: every
+// reference, hit or miss, accesses it; invalidations leave it alone; a
 // flush (a context switch) empties it. The seen set survives a flush.
 type taxOracle struct {
-	cache     refModel
-	lineBytes uint64
-	lines     int
+	cache, shadow *refCache
 
-	seen  map[uint64]bool // ever missed -> coherence mark pending
-	lru   *list.List      // tags, front = most recent
-	where map[uint64]*list.Element
+	seen map[uint64]bool // ever missed -> coherence mark pending
 
 	classes stats.MissClasses
 }
 
 func newTaxOracle(cfg CacheConfig) *taxOracle {
-	o := &taxOracle{
-		lineBytes: uint64(cfg.LineBytes),
-		lines:     cfg.SizeBytes / cfg.LineBytes,
-		seen:      map[uint64]bool{},
-		lru:       list.New(),
-		where:     map[uint64]*list.Element{},
-	}
-	if cfg.Policy == "" || cfg.Policy == PolicyLRU {
-		o.cache = newRefCache(cfg)
-	} else {
-		o.cache = newRefPolicyCache(cfg)
-	}
-	return o
+	fa := CacheConfig{SizeBytes: cfg.SizeBytes, LineBytes: cfg.LineBytes, Assoc: cfg.SizeBytes / cfg.LineBytes}
+	return &taxOracle{cache: newRefCache(cfg), shadow: newRefCache(fa), seen: map[uint64]bool{}}
 }
 
 func (o *taxOracle) access(addr uint64, write bool) bool {
-	tag := addr / o.lineBytes
 	hit, _, _ := o.cache.access(addr, write)
 	if !hit {
+		tag := addr / o.cache.lineBytes
 		mark, seen := o.seen[tag]
 		switch {
 		case !seen:
 			o.classes.Compulsory++
 		case mark:
 			o.classes.Coherence++
-		case o.where[tag] != nil:
+		case o.shadow.contains(addr):
 			o.classes.Conflict++
 		default:
 			o.classes.Capacity++
 		}
 		o.seen[tag] = false
 	}
-	if e := o.where[tag]; e != nil {
-		o.lru.MoveToFront(e)
-	} else {
-		o.where[tag] = o.lru.PushFront(tag)
-		if o.lru.Len() > o.lines {
-			lru := o.lru.Back()
-			delete(o.where, lru.Value.(uint64))
-			o.lru.Remove(lru)
-		}
-	}
+	o.shadow.access(addr, false)
 	return hit
 }
 
 func (o *taxOracle) invalidate(addr uint64, coherence bool) bool {
 	inv := o.cache.invalidate(addr)
 	if inv && coherence {
-		o.seen[addr/o.lineBytes] = true
+		o.seen[addr/o.cache.lineBytes] = true
 	}
 	return inv
 }
 
 func (o *taxOracle) flush() {
 	o.cache.flush()
-	o.lru.Init()
-	clear(o.where)
+	o.shadow.flush()
 }
 
 // TestTaxonomyMatchesOracle is the classifier's independent check: seeded

@@ -139,12 +139,8 @@ func TestTaxonomyShadowRecycling(t *testing.T) {
 // coherence invalidations — the four classes always sum exactly to the
 // miss counter, for the LRU path and every Policy-seam policy.
 func TestTaxonomyConservationRandom(t *testing.T) {
-	for _, policy := range append([]string{""}, nonLRUPolicies...) {
-		name := policy
-		if name == "" {
-			name = "lru"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, policy := range PolicyNames() {
+		t.Run(policy, func(t *testing.T) {
 			c := mkTaxCache(512, 32, 2, policy)
 			rng := rand.New(rand.NewSource(23))
 			for op := 0; op < 20000; op++ {

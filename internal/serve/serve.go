@@ -1266,11 +1266,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		machine, _, _ := machineByName(cells[i].Machine)
 		results[i] = experiments.Result{Benchmark: cells[i].Benchmark, Machine: machine, Plan: cells[i].Plan, Run: *cr.Run}
 	}
-	// Post-join normalisation, identical to HandlerOverhead's.
-	for i := range results {
-		base := i - i%len(specs) + baseIdx
-		results[i].Norm = results[i].Run.NormalizeTo(results[base].Run)
-	}
+	experiments.Normalize(results, len(specs), baseIdx)
 
 	resp.Table = experiments.FormatFigure(title, results)
 	if summary {

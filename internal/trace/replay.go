@@ -11,10 +11,10 @@ import (
 	"informing/internal/stats"
 )
 
-// DefaultMaxTids bounds the number of distinct thread ids a replay will
-// build hierarchies for; beyond it the trace is rejected rather than
-// letting hostile input allocate unbounded cache state.
-const DefaultMaxTids = 64
+// MaxTids bounds the number of distinct thread ids a replay will build
+// hierarchies for; beyond it the trace is rejected rather than letting
+// hostile input allocate unbounded cache state.
+const MaxTids = 64
 
 // ReplayConfig parameterises a trace replay.
 type ReplayConfig struct {
@@ -34,9 +34,6 @@ type ReplayConfig struct {
 	// unlimited). Exceeding it aborts with an error wrapping
 	// govern.ErrBudget.
 	MaxRefs uint64
-
-	// MaxTids bounds distinct thread ids (0 = DefaultMaxTids).
-	MaxTids int
 }
 
 // SegmentResult is the replay outcome of one trace segment (each segment
@@ -132,9 +129,8 @@ func (r *ReplayResult) Reconcile(run stats.Run) error {
 
 // replayer drives per-tid hierarchies over one segment at a time.
 type replayer struct {
-	cfg     ReplayConfig
-	gov     *govern.Governor
-	maxTids int
+	cfg ReplayConfig
+	gov *govern.Governor
 
 	// Per-tid hierarchy state for the current segment. tids preserves
 	// first-appearance order; hiers is parallel to it.
@@ -148,10 +144,6 @@ type replayer struct {
 }
 
 func newReplayer(cfg ReplayConfig) *replayer {
-	maxTids := cfg.MaxTids
-	if maxTids <= 0 {
-		maxTids = DefaultMaxTids
-	}
 	return &replayer{
 		cfg: cfg,
 		gov: govern.New(govern.Config{
@@ -159,7 +151,6 @@ func newReplayer(cfg ReplayConfig) *replayer {
 			MaxInsts:       cfg.MaxRefs,
 			WatchdogCycles: -1,
 		}),
-		maxTids: maxTids,
 	}
 }
 
@@ -169,8 +160,8 @@ func (rp *replayer) hier(tid int32) (*mem.Hierarchy, error) {
 			return rp.hiers[i], nil
 		}
 	}
-	if len(rp.tids) >= rp.maxTids {
-		return nil, fmt.Errorf("trace: more than %d distinct tids", rp.maxTids)
+	if len(rp.tids) >= MaxTids {
+		return nil, fmt.Errorf("trace: more than %d distinct tids", MaxTids)
 	}
 	h, err := mem.NewHierarchy(rp.cfg.Hier)
 	if err != nil {

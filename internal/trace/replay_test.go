@@ -142,13 +142,18 @@ func TestReplayCoherentMultiTid(t *testing.T) {
 	}
 }
 
+// TestReplayMaxTids: a trace may name MaxTids distinct thread ids; one
+// more is rejected.
 func TestReplayMaxTids(t *testing.T) {
 	var lines []string
-	for i := 0; i < 5; i++ {
+	for i := 0; i <= MaxTids; i++ {
 		lines = append(lines, fmt.Sprintf(`{"seq":%d,"pc":"0x0","disasm":"x","fetch":0,"issue":0,"complete":0,"graduate":0,"level":1,"addr":"0x40","kind":"load","tid":%d,"trap":false}`, i, i))
 	}
-	if _, err := Replay(joinTrace(lines...), ReplayConfig{Hier: tinyHier(), MaxTids: 3}); err == nil || !strings.Contains(err.Error(), "tids") {
-		t.Errorf("err = %v, want tid-bound rejection", err)
+	if _, err := Replay(joinTrace(lines[:MaxTids]...), ReplayConfig{Hier: tinyHier()}); err != nil {
+		t.Errorf("%d tids: %v", MaxTids, err)
+	}
+	if _, err := Replay(joinTrace(lines...), ReplayConfig{Hier: tinyHier()}); err == nil || !strings.Contains(err.Error(), "tids") {
+		t.Errorf("%d tids: err = %v, want tid-bound rejection", MaxTids+1, err)
 	}
 }
 
