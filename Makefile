@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzTenantsFile -fuzztime=10s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeOutcome -fuzztime=10s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=^FuzzForwardReply$$ -fuzztime=10s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=^FuzzCanonicalize$$ -fuzztime=10s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=^FuzzStoreEntry$$ -fuzztime=10s ./internal/store
 
 # fuzz-diff is the cross-engine differential fuzzer (internal/progen):

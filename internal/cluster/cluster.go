@@ -409,7 +409,8 @@ func (c *Cluster) ensureVerified(ctx context.Context, ps *peerState) error {
 // body. It owns peer health: a peer inside its failure cooldown fails
 // fast with ErrPeerDown; a fresh (or recovering) peer is version-checked
 // against /healthz first (one probe, shared by concurrent forwards); any
-// transport failure marks the peer down.
+// transport failure marks the peer down, except one that ctx's
+// cancellation caused: a caller giving up says nothing about the peer.
 // Non-2xx statuses are returned to the caller, not treated as peer
 // failures — the peer is alive and said something meaningful.
 func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte, header http.Header) (int, []byte, error) {
@@ -436,8 +437,7 @@ func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte, h
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		ps.markDown(c, err.Error(), false)
-		c.forwardErrors.Inc()
+		c.forwardFailed(ctx, ps, err)
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
@@ -452,9 +452,17 @@ func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte, h
 		respBody, err = io.ReadAll(resp.Body)
 	}
 	if err != nil {
-		ps.markDown(c, err.Error(), false)
-		c.forwardErrors.Inc()
+		c.forwardFailed(ctx, ps, err)
 		return 0, nil, err
 	}
 	return resp.StatusCode, respBody, nil
+}
+
+// forwardFailed counts a failed POST and marks the peer down unless the
+// caller cancelled it; a timeout still marks the peer down.
+func (c *Cluster) forwardFailed(ctx context.Context, ps *peerState, err error) {
+	c.forwardErrors.Inc()
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		ps.markDown(c, err.Error(), false)
+	}
 }

@@ -188,6 +188,45 @@ func TestForwardPeerDownCooldown(t *testing.T) {
 	}
 }
 
+// TestForwardCanceledKeepsPeerUp: a forward its caller cancels mid-POST
+// fails, but the peer stays up and the next forward reaches it.
+func TestForwardCanceledKeepsPeerUp(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	var hold atomic.Bool
+	hold.Store(true)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `{"status":"ok","code_version":"v1"}`)
+	})
+	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
+		if hold.Load() {
+			arrived <- struct{}{}
+			<-r.Context().Done()
+			return
+		}
+		fmt.Fprint(w, `{"results":[]}`)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c, _ := testCluster(t, ts.URL, "v1")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-arrived
+		cancel()
+	}()
+	if _, _, err := c.Forward(ctx, ts.URL, "/v1/simulate", nil, nil); err == nil {
+		t.Fatal("canceled forward succeeded")
+	}
+	if st := c.Status()[ts.URL]; st.State != "up" {
+		t.Fatalf("peer state = %q after a canceled forward, want up", st.State)
+	}
+	hold.Store(false)
+	if status, _, err := c.Forward(context.Background(), ts.URL, "/v1/simulate", nil, nil); err != nil || status != http.StatusOK {
+		t.Fatalf("forward after a canceled one: status %d, err %v", status, err)
+	}
+}
+
 // TestForwardHandshakeNonBlocking: a blackholed peer must not stall the
 // rest of the node. The probing forward is bounded by HandshakeTimeout
 // (not the caller's much larger forward budget), exactly one probe runs

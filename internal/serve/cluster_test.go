@@ -2,13 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"informing/internal/cluster"
 	"informing/internal/experiments"
@@ -531,6 +531,113 @@ func TestForwardedRequestNeverReForwarded(t *testing.T) {
 	}
 }
 
+// TestForwardedHopsNeverWaitOnEachOther: two nodes whose peer lists
+// disagree route one key to each other (node 1 lists node 0 under a
+// second address). Each gets a client request for it and starts a
+// forward; neither hop is served until both forwards are in flight. A hop
+// must not join the forward already running where it lands — that forward
+// waits on the other hop, so the two would wait on each other until
+// ForwardTimeout, and both healthy peers would be marked down. Each hop is
+// computed where it lands instead, at once.
+func TestForwardedHopsNeverWaitOnEachOther(t *testing.T) {
+	const forwardTimeout = 3 * time.Second
+	hops, gate := make(chan struct{}, 2), make(chan struct{})
+	go func() {
+		<-hops
+		<-hops
+		close(gate)
+	}()
+	var mu sync.Mutex
+	srvs := make([]*Server, 2)
+	listen := func(i int) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.Header.Get(HeaderForwarded) != "" {
+				hops <- struct{}{}
+				<-gate
+			}
+			mu.Lock()
+			s := srvs[i]
+			mu.Unlock()
+			s.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	a, aAlias, b := listen(0), listen(0), listen(1)
+	peers := [][]string{{a.URL, b.URL}, {b.URL, aAlias.URL}}
+	var c Request
+	for i := uint64(90_000); ; i++ {
+		c = fakeCell(i)
+		key := Fingerprint(mustCanon(t, c))
+		if cluster.OwnerOf(peers[0], key) == b.URL && cluster.OwnerOf(peers[1], key) == aAlias.URL {
+			break
+		}
+	}
+	runners := make([]*fakeRunner, 2)
+	for i, self := range []string{a.URL, b.URL} {
+		cl, err := cluster.New(cluster.Config{Self: self, Peers: peers[i], Version: CodeVersion,
+			Secret: testClusterSecret, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners[i] = newFakeRunner(false)
+		s := New(Config{runCell: runners[i].run, Cluster: cl, ForwardTimeout: forwardTimeout, Logf: t.Logf})
+		t.Cleanup(s.Close)
+		mu.Lock()
+		srvs[i] = s
+		mu.Unlock()
+	}
+
+	type reply struct {
+		status  int
+		body    []byte
+		err     error
+		elapsed time.Duration
+	}
+	replies := make([]reply, 2)
+	var wg sync.WaitGroup
+	for i, ts := range []*httptest.Server{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			resp, body, err := tryPostJSON(ts.URL+"/v1/simulate", SimulateRequest{Cells: []Request{c}})
+			replies[i] = reply{body: body, err: err, elapsed: time.Since(start)}
+			if resp != nil {
+				replies[i].status = resp.StatusCode
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, r := range replies {
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("node %d: status %d, err %v\n%s", i, r.status, r.err, r.body)
+		}
+		if cr := decodeSim(t, r.body).Results[0]; cr.Error != nil {
+			t.Errorf("node %d: cell failed: %+v", i, cr.Error)
+		}
+		if r.elapsed >= forwardTimeout {
+			t.Errorf("node %d answered after %v, not before the %v forward timeout", i, r.elapsed, forwardTimeout)
+		}
+		s := srvs[i]
+		if got := s.met.ForwardFallbacks.Load(); got != 0 {
+			t.Errorf("node %d: serve_forward_fallbacks = %d, want 0", i, got)
+		}
+		if got := runners[i].count(mustCanon(t, c)); got != 1 {
+			t.Errorf("node %d ran the cell %d times, want 1 (the hop it received)", i, got)
+		}
+		for peer, st := range s.cluster.Status() {
+			if st.State != "up" {
+				t.Errorf("node %d: peer %s is %q, want up", i, peer, st.State)
+			}
+		}
+	}
+	if !bytes.Equal(replies[0].body, replies[1].body) {
+		t.Errorf("the nodes answered differently:\n%s\n%s", replies[0].body, replies[1].body)
+	}
+}
+
 // TestForwardedVersionMismatch409: the per-request half of the version
 // handshake — a correctly authenticated hop from a peer on a different
 // simulator build is refused with 409 before any simulation.
@@ -610,36 +717,6 @@ func TestForwardedHopRequiresClusterSecret(t *testing.T) {
 	}
 	if runners[0].total()+runners[1].total() != 0 {
 		t.Error("forged hop reached the simulator")
-	}
-}
-
-// TestForwardFallbackLifecycleRetry: a remote flight that ended in the
-// first caller's drain/shutdown race (remoteFlight.retry) must not hand
-// that verdict to coalesced waiters — each waiter re-runs the local path
-// under its own admission and gets a real answer.
-func TestForwardFallbackLifecycleRetry(t *testing.T) {
-	runner := newFakeRunner(false)
-	s, _ := newTestServer(t, Config{runCell: runner.run})
-	c := mustCanon(t, fakeCell(63_000))
-	key := Fingerprint(c)
-
-	rf := &remoteFlight{done: make(chan struct{}), out: outcome{err: errShutdown}, retry: true}
-	close(rf.done)
-	tn := s.tenants.resolveForwarded("")
-	res := s.await(context.Background(), ticket{key: key, req: c, tn: tn, remote: rf})
-	if res.Error != nil {
-		t.Fatalf("waiter inherited the first caller's shutdown verdict: %+v", res.Error)
-	}
-	if got := runner.count(c); got != 1 {
-		t.Errorf("retry computed the cell %d times locally, want 1", got)
-	}
-
-	// Sanity: the classifier separates lifecycle races from verdicts.
-	if !lifecycleReject(errShutdown) || !lifecycleReject(&WireError{Code: CodeCanceled, Message: "server draining"}) {
-		t.Error("lifecycle rejections not classified as retryable")
-	}
-	if lifecycleReject(nil) || lifecycleReject(&WireError{Code: CodeBudget, Message: "budget exhausted"}) {
-		t.Error("deterministic verdicts classified as retryable")
 	}
 }
 

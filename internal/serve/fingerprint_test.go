@@ -199,3 +199,70 @@ func TestHashStringMatchesSum256(t *testing.T) {
 		}
 	}
 }
+
+// respellings returns every rewrite of a cell's fields that must leave
+// its fingerprint alone, given its canonical form: each alias or default
+// spelled both ways (machine aliases, policy ""/lru, scale 0/1, maxinsts
+// 0/DefaultMaxInsts, processors 0/DefaultProcessors, program scheme
+// ""/off, and a sharing plan's /branch suffix).
+func respellings(canon Request) []func(*Request) {
+	var rw []func(*Request)
+	add := func(applies bool, fs ...func(*Request)) {
+		if applies {
+			rw = append(rw, fs...)
+		}
+	}
+	add(canon.Machine == MachineOOO,
+		func(r *Request) { r.Machine = MachineOOO }, func(r *Request) { r.Machine = "out-of-order" })
+	add(canon.Machine == MachineInOrder,
+		func(r *Request) { r.Machine = MachineInOrder }, func(r *Request) { r.Machine = "in-order" })
+	add(canon.Kind == KindCell && canon.Policy == "lru",
+		func(r *Request) { r.Policy = "" }, func(r *Request) { r.Policy = "lru" })
+	add(canon.Kind == KindCell && canon.Scale == 1,
+		func(r *Request) { r.Scale = 0 }, func(r *Request) { r.Scale = 1 })
+	add(canon.MaxInsts == DefaultMaxInsts,
+		func(r *Request) { r.MaxInsts = 0 }, func(r *Request) { r.MaxInsts = DefaultMaxInsts })
+	add(canon.Kind == KindFig4 && canon.Processors == DefaultProcessors,
+		func(r *Request) { r.Processors = 0 }, func(r *Request) { r.Processors = DefaultProcessors })
+	add(canon.Kind == KindProgram && canon.Scheme == "off",
+		func(r *Request) { r.Scheme = "" }, func(r *Request) { r.Scheme = "off" })
+	if p := canon.Plan; canon.Kind == KindCell && (strings.HasPrefix(p, "S") || strings.HasPrefix(p, "U")) &&
+		!strings.HasPrefix(p, "SMP") && !strings.Contains(p, "/") {
+		add(true, func(r *Request) { r.Plan = p + "/branch" }, func(r *Request) { r.Plan = p })
+	}
+	return rw
+}
+
+// FuzzCanonicalize decodes any body with decodeCells and holds every cell
+// Canonicalize accepts to the fingerprint's promises: Canonicalize is
+// idempotent and the canonical cell's fingerprint survives it, and every
+// respelling of an alias or default keeps the fingerprint. The seed
+// corpus holds a cell, fig4, program and trace cell with their defaults
+// left out, one spelled out in full, and one cell Canonicalize rejects.
+func FuzzCanonicalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cells, err := decodeCells(body)
+		if err != nil {
+			return
+		}
+		for _, c := range cells {
+			canon, err := Canonicalize(c, 0)
+			if err != nil {
+				continue
+			}
+			key := Fingerprint(canon)
+			if again, err := Canonicalize(canon, 0); err != nil || again != canon || Fingerprint(again) != key {
+				t.Fatalf("Canonicalize not idempotent on %#v: %#v, %v", canon, again, err)
+			}
+			for i, rewrite := range respellings(canon) {
+				r := c
+				rewrite(&r)
+				rc, err := Canonicalize(r, 0)
+				if err != nil || Fingerprint(rc) != key {
+					t.Fatalf("respelling %d of %#v gives %#v (%v), fingerprint %s; want %s",
+						i, c, rc, err, Fingerprint(rc), key)
+				}
+			}
+		}
+	})
+}

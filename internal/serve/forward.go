@@ -10,20 +10,24 @@ package serve
 // cluster-wide: every node routes an identical fingerprint to the same
 // owner, so at most one simulation of it runs anywhere in the cluster.
 //
-// Concurrent identical requests at the ingress share one forward (the
-// remotes map, single-flight for the network hop), and a successful
-// remote outcome warms the ingress RAM cache with the owner's bytes, not
-// decoded (sliceReply), so repeats are served with zero hops. The
-// durable store stays owner-only: exactly one node is responsible for a
-// fingerprint's durability, and a warm restart of any node re-fills the
-// rest of the cluster through normal forwarding.
+// At the ingress a forward is an ordinary flight (serve.go) whose owner
+// is set: concurrent identical client requests join it in the one flight
+// table as they would join a computation (a hop from a peer never does:
+// submit's loop guard), and it is cancelled when its last waiter leaves. A successful owner answer is published with the owner's
+// bytes, not decoded (sliceReply), so it warms the ingress RAM cache and
+// repeats are served with zero hops. The durable store stays owner-only:
+// exactly one node is responsible for a fingerprint's durability, and a
+// warm restart of any node re-fills the rest of the cluster through
+// normal forwarding.
 //
 // Failure policy (DESIGN.md §15): a peer that cannot be reached, is on a
 // different code version, or answers anything other than a well-formed
 // 200 costs the ingress node a local computation, never an error and
 // never a wrong answer — results are deterministic, so computing a
 // non-owned fingerprint locally is always correct, merely duplicated
-// work. Only a *simulation* error from the owner (invalid, budget,
+// work. The same flight goes onto the local queue, so its waiters,
+// already admitted, are answered even if this node began draining
+// meanwhile. Only a *simulation* error from the owner (invalid, budget,
 // livelock — deterministic verdicts that would reproduce locally) is
 // authoritative; owner-side cancellations are transient and fall back.
 
@@ -36,7 +40,6 @@ import (
 	"sync"
 
 	"informing/internal/cluster"
-	"informing/internal/govern"
 )
 
 // Cluster-hop headers. The forwarded branch bypasses API-key auth and
@@ -66,81 +69,29 @@ const (
 	HeaderRawTrace = "X-Informd-Raw-Trace"
 )
 
-// remoteFlight is one in-flight forward to an owner peer, shared by every
-// ingress request that asked for the same fingerprint while it ran. out,
-// cached and retry are written before done is closed.
-type remoteFlight struct {
-	done   chan struct{}
-	out    outcome
-	cached bool // the owner (or the ingress fallback path) served it from cache
-	// retry: the flight ended in this node's own drain/shutdown rejection
-	// rather than an authoritative answer. Coalesced waiters from other
-	// requests were admitted in their own right, so they re-run the local
-	// path themselves (await) instead of inheriting the first caller's
-	// race with the lifecycle.
-	retry bool
-}
-
-// submitRemote coalesces onto an existing forward for key or starts a
-// fresh one. Returns nil while draining — the caller's local path owns
-// that rejection.
-func (s *Server) submitRemote(key string, c Request, tn *tenant, owner string) *remoteFlight {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil
-	}
-	if rf, ok := s.remotes[key]; ok {
-		s.mu.Unlock()
-		s.met.ForwardCoalesced.Inc()
-		return rf
-	}
-	rf := &remoteFlight{done: make(chan struct{})}
-	s.remotes[key] = rf
-	s.mu.Unlock()
-	s.met.Forwarded.Inc()
-	go s.runForward(rf, key, c, tn, owner)
-	return rf
-}
-
-// runForward drives one forward to completion: try the owner, fall back
-// to local compute on any peer-level failure, publish, and retire the
-// flight from the coalescing index.
-func (s *Server) runForward(rf *remoteFlight, key string, c Request, tn *tenant, owner string) {
-	out, cached, ok := s.forwardToOwner(key, c, tn, owner)
-	if !ok {
+// forward drives one forwarded flight: publish the owner's answer, or,
+// when the owner gives none, put the same flight onto the local queue.
+// A flight whose every waiter left has already been torn down (leave) and
+// ends here; at shutdown it fails like any queued flight.
+func (s *Server) forward(f *flight) {
+	out, cached, ok := s.forwardToOwner(f)
+	switch {
+	case ok:
+		s.publish(f, out, cached)
+	case f.ctx.Err() == nil:
 		s.met.ForwardFallbacks.Inc()
-		out, cached = s.localFallback(key, c, tn)
+		s.met.Misses.Inc()
+		s.enqueueBlocking(f.ctx, f)
+	case s.baseCtx.Err() != nil:
+		s.complete(f, outcome{err: errShutdown})
 	}
-	s.mu.Lock()
-	if s.remotes[key] == rf {
-		delete(s.remotes, key)
-	}
-	s.mu.Unlock()
-	rf.out, rf.cached = out, cached
-	rf.retry = !ok && lifecycleReject(out.err)
-	close(rf.done)
 }
 
-// lifecycleReject reports whether err is a this-node drain/shutdown
-// rejection (a race with the server lifecycle, different per waiter)
-// rather than a deterministic simulation verdict that any waiter would
-// reproduce.
-func lifecycleReject(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, govern.ErrCanceled) {
-		return true
-	}
-	var we *WireError
-	return errors.As(err, &we) && we.Code == CodeCanceled
-}
-
-// forwardToOwner performs the peer hop. ok=false means "the peer did not
+// forwardToOwner performs f's peer hop. ok=false means "the peer did not
 // give an authoritative answer" and the caller must compute locally; it
 // is never an error the client sees.
-func (s *Server) forwardToOwner(key string, c Request, tn *tenant, owner string) (out outcome, cached, ok bool) {
+func (s *Server) forwardToOwner(f *flight) (out outcome, cached, ok bool) {
+	key, c, owner := f.key, f.req, f.owner
 	hdr := http.Header{}
 	var body []byte
 	if c.Kind == KindTrace {
@@ -154,19 +105,19 @@ func (s *Server) forwardToOwner(key string, c Request, tn *tenant, owner string)
 		hdr.Set("Content-Type", "application/json")
 	}
 	hdr.Set(HeaderForwarded, CodeVersion)
-	hdr.Set(HeaderForwardedTenant, tn.name)
+	hdr.Set(HeaderForwardedTenant, f.tn.name)
 	hdr.Set(HeaderClusterAuth, s.cluster.Secret())
 
-	// The forward rides the server context, not any single waiter's:
-	// coalesced waiters come and go, and a completed forward warms the
-	// ingress cache regardless.
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.ForwardTimeout)
+	// The hop rides the flight's context: it ends when the last waiter
+	// leaves, not when any one waiter does.
+	ctx, cancel := context.WithTimeout(f.ctx, s.cfg.ForwardTimeout)
 	defer cancel()
 	status, respBody, err := s.cluster.Forward(ctx, owner, "/v1/simulate", body, hdr)
 	if err != nil {
 		// ErrPeerDown is the fast-fail inside the cooldown — the edge was
-		// already logged; anything else is a fresh transport failure.
-		if !errors.Is(err, cluster.ErrPeerDown) {
+		// already logged; anything else is a fresh transport failure,
+		// unless every waiter left.
+		if !errors.Is(err, cluster.ErrPeerDown) && f.ctx.Err() == nil {
 			s.cfg.Logf("serve: forward %s to %s failed, computing locally: %v", key, owner, err)
 		}
 		return outcome{}, false, false
@@ -183,11 +134,8 @@ func (s *Server) forwardToOwner(key string, c Request, tn *tenant, owner string)
 		s.cfg.Logf("serve: forward %s to %s returned an unexpected body, computing locally", key, owner)
 		return outcome{}, false, false
 	}
-	// The owner's bytes warm the ingress LRU; the durable store is NOT
-	// written — durability is the owner's job.
 	if enc := out.enc; out.err == nil {
 		out.lazy = sync.OnceValues(func() (outcome, error) { return decodeOutcome(enc) })
-		s.cache.add(key, out)
 	}
 	return out, cached, true
 }
@@ -226,28 +174,3 @@ func sliceReply(body []byte, key string) (out outcome, cached, ok bool) {
 
 // hasPrefix is bytes.HasPrefix against a string, without converting it.
 func hasPrefix(b []byte, s string) bool { return len(b) >= len(s) && string(b[:len(s)]) == s }
-
-// localFallback computes a non-owned fingerprint on this node after its
-// owner failed to answer: a blocking submit onto the local queue (the
-// forward already absorbed the admission decision at ingress), bounded by
-// server shutdown. Identical concurrent fallbacks coalesce on the local
-// single-flight like any other cells.
-func (s *Server) localFallback(key string, c Request, tn *tenant) (outcome, bool) {
-	if out, ok := s.cache.get(key); ok {
-		return out, true
-	}
-	t, we := s.submitLocal(s.baseCtx, key, c, tn, true)
-	if we != nil {
-		return outcome{err: we}, false
-	}
-	if t.cached != nil {
-		return *t.cached, true
-	}
-	select {
-	case <-t.f.done:
-		return t.f.out, false
-	case <-s.baseCtx.Done():
-		s.leave(t.f)
-		return outcome{err: errShutdown}, false
-	}
-}

@@ -2,16 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"informing/internal/cluster"
+	"informing/internal/obs"
 	"informing/internal/stats"
 )
 
@@ -23,9 +27,61 @@ func ownerReply(cr CellResult) []byte {
 	return rec.Body.Bytes()
 }
 
-// TestForwardBadOwnerReply puts an ingress in front of a fake owner that
-// passes the version handshake and the cluster-secret check but answers
-// each hop with a canned body. A reply of any shape but the one
+// fakeOwnerCluster puts an ingress, simulating with runner, in front of a
+// fake owner that passes the version handshake and the cluster-secret
+// check and answers each hop with hop. It returns the ingress, the
+// owner's URL and the two-node peer list.
+func fakeOwnerCluster(t *testing.T, runner *fakeRunner, hop http.HandlerFunc) (*clusterNode, string, []string) {
+	t.Helper()
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			writeJSON(w, http.StatusOK, map[string]string{"code_version": CodeVersion})
+			return
+		}
+		if r.Header.Get(HeaderClusterAuth) != testClusterSecret {
+			w.WriteHeader(http.StatusForbidden)
+			return
+		}
+		hop(w, r)
+	}))
+	t.Cleanup(owner.Close)
+	ingress := &clusterNode{}
+	ingress.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ingress.server().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ingress.ts.Close)
+	peers := []string{ingress.ts.URL, owner.URL}
+	cl, err := cluster.New(cluster.Config{Self: ingress.ts.URL, Peers: peers, Version: CodeVersion,
+		Secret: testClusterSecret, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingress.mu.Lock()
+	ingress.srv = New(Config{runCell: runner.run, Cluster: cl, Logf: t.Logf})
+	ingress.mu.Unlock()
+	t.Cleanup(ingress.srv.Close)
+	return ingress, owner.URL, peers
+}
+
+// ownedCell returns the first cell past *maxInsts that peers route to
+// owner, and its key, leaving *maxInsts at that cell's budget.
+func ownedCell(t *testing.T, peers []string, owner string, maxInsts *uint64) (Request, string) {
+	t.Helper()
+	for {
+		*maxInsts++
+		c := fakeCell(*maxInsts)
+		canon, err := Canonicalize(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key := Fingerprint(canon); cluster.OwnerOf(peers, key) == owner {
+			return c, key
+		}
+	}
+}
+
+// TestForwardBadOwnerReply puts an ingress in front of a fake owner
+// (fakeOwnerCluster) that answers each hop with a canned body. A reply of any shape but the one
 // writeSimulate writes for the expected key must cost the ingress a
 // local computation: serve_forward_fallbacks rises by one and the client
 // gets, byte for byte, what a single node answers. An owner's error cell
@@ -74,36 +130,11 @@ func TestForwardBadOwnerReply(t *testing.T) {
 	var mu sync.Mutex
 	var reply func(key string) []byte
 	var replyKey string
-	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet {
-			writeJSON(w, http.StatusOK, map[string]string{"code_version": CodeVersion})
-			return
-		}
-		if r.Header.Get(HeaderClusterAuth) != testClusterSecret {
-			w.WriteHeader(http.StatusForbidden)
-			return
-		}
+	ingress, owner, peers := fakeOwnerCluster(t, newFakeRunner(false), func(w http.ResponseWriter, _ *http.Request) {
 		mu.Lock()
 		defer mu.Unlock()
 		_, _ = w.Write(reply(replyKey))
-	}))
-	t.Cleanup(owner.Close)
-	ingress := &clusterNode{}
-	ingress.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ingress.server().Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(ingress.ts.Close)
-	peers := []string{ingress.ts.URL, owner.URL}
-	cl, err := cluster.New(cluster.Config{Self: ingress.ts.URL, Peers: peers, Version: CodeVersion,
-		Secret: testClusterSecret, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := newFakeRunner(false)
-	ingress.mu.Lock()
-	ingress.srv = New(Config{runCell: runner.run, Cluster: cl, Logf: t.Logf})
-	ingress.mu.Unlock()
-	t.Cleanup(ingress.srv.Close)
+	})
 	s := ingress.server()
 	_, single := newTestServer(t, Config{runCell: newFakeRunner(false).run})
 
@@ -112,21 +143,10 @@ func TestForwardBadOwnerReply(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// A fresh cell per case, owned by the fake: no case is served
 			// from what an earlier one left in the ingress LRU.
-			var c Request
-			for {
-				maxInsts++
-				c = fakeCell(maxInsts)
-				canon, err := Canonicalize(c, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if key := Fingerprint(canon); cluster.OwnerOf(peers, key) == owner.URL {
-					mu.Lock()
-					reply, replyKey = tc.reply, key
-					mu.Unlock()
-					break
-				}
-			}
+			c, key := ownedCell(t, peers, owner, &maxInsts)
+			mu.Lock()
+			reply, replyKey = tc.reply, key
+			mu.Unlock()
 			req := SimulateRequest{Cells: []Request{c}}
 			fallbacks := s.met.ForwardFallbacks.Load()
 			resp, body := postJSON(t, ingress.ts.URL+"/v1/simulate", req)
@@ -151,6 +171,146 @@ func TestForwardBadOwnerReply(t *testing.T) {
 				t.Errorf("serve_forward_fallbacks = %d, want %d", got, wantFallbacks)
 			}
 		})
+	}
+}
+
+// waitForCount polls c until it reads want, for at most 5 s.
+func waitForCount(t *testing.T, name string, c *obs.Counter, want uint64) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for c.Load() != want {
+		select {
+		case <-deadline:
+			t.Fatalf("%s = %d, never reached %d", name, c.Load(), want)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestForwardFallbackDuringDrain: a forward whose owner gives no answer
+// falls back to this node even when it began draining meanwhile. Two
+// requests coalesce on a hop the fake owner holds, the ingress drains,
+// then the owner answers 503: both requests were admitted before the
+// drain, so both get, byte for byte, what a single node answers, from one
+// local computation.
+func TestForwardFallbackDuringDrain(t *testing.T) {
+	arrived, answer := make(chan struct{}, 1), make(chan struct{})
+	runner := newFakeRunner(false)
+	ingress, owner, peers := fakeOwnerCluster(t, runner, func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		select {
+		case <-answer:
+			writeError(w, http.StatusServiceUnavailable, &WireError{Code: CodeCanceled, Message: "server draining"})
+		case <-r.Context().Done():
+		}
+	})
+	s := ingress.server()
+	_, single := newTestServer(t, Config{runCell: newFakeRunner(false).run})
+	maxInsts := uint64(70_000)
+	c, _ := ownedCell(t, peers, owner, &maxInsts)
+	req := SimulateRequest{Cells: []Request{c}}
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	replies := make(chan reply, 2)
+	post := func() {
+		resp, body, err := tryPostJSON(ingress.ts.URL+"/v1/simulate", req)
+		r := reply{body: body, err: err}
+		if resp != nil {
+			r.status = resp.StatusCode
+		}
+		replies <- r
+	}
+	go post()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hop never reached the owner")
+	}
+	go post()
+	waitForCount(t, "serve_forward_coalesced", s.met.ForwardCoalesced, 1)
+	s.Drain()
+	close(answer)
+
+	_, want := postJSON(t, single.URL+"/v1/simulate", req)
+	for range 2 {
+		r := <-replies
+		if r.err != nil || r.status != http.StatusOK || !bytes.Equal(r.body, want) {
+			t.Errorf("client got status %d, err %v:\n%s\nwant\n%s", r.status, r.err, r.body, want)
+		}
+	}
+	if got := runner.count(mustCanon(t, c)); got != 1 {
+		t.Errorf("ingress computed the cell %d times, want 1", got)
+	}
+	if got := s.met.ForwardFallbacks.Load(); got != 1 {
+		t.Errorf("serve_forward_fallbacks = %d, want 1", got)
+	}
+}
+
+// TestForwardCanceledWithLastWaiter: a forward counts in serve_inflight
+// and lives only as long as a request waits for it. When its only client
+// disconnects mid-hop the owner sees the hop end, nothing is computed on
+// the ingress, and serve_inflight returns to 0.
+func TestForwardCanceledWithLastWaiter(t *testing.T) {
+	arrived, hopEnded := make(chan struct{}, 1), make(chan struct{})
+	runner := newFakeRunner(false)
+	ingress, owner, peers := fakeOwnerCluster(t, runner, func(_ http.ResponseWriter, r *http.Request) {
+		// A handler that has read its body learns of a closed connection.
+		_, _ = io.Copy(io.Discard, r.Body)
+		arrived <- struct{}{}
+		<-r.Context().Done()
+		close(hopEnded)
+	})
+	s := ingress.server()
+	maxInsts := uint64(80_000)
+	c, _ := ownedCell(t, peers, owner, &maxInsts)
+	body, err := json.Marshal(SimulateRequest{Cells: []Request{c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ingress.ts.URL+"/v1/simulate", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hop never reached the owner")
+	}
+	if got := s.met.Inflight.Load(); got != 1 {
+		t.Errorf("serve_inflight = %d during the hop, want 1", got)
+	}
+	cancel()
+	if err := <-errc; err == nil {
+		t.Error("the canceled client got a response")
+	}
+	select {
+	case <-hopEnded:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hop outlived its last waiter")
+	}
+	waitForCount(t, "serve_inflight", s.met.Inflight, 0)
+	select {
+	case <-runner.started:
+		t.Error("the ingress computed a cell nobody waits for")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if got := s.met.ForwardFallbacks.Load(); got != 0 {
+		t.Errorf("serve_forward_fallbacks = %d, want 0", got)
 	}
 }
 

@@ -14,7 +14,7 @@ const (
 	MetricCoalesced  = "serve_coalesced"
 	MetricRejected   = "serve_rejected_total"
 	MetricCellErrors = "serve_cell_errors"
-	MetricInflight   = "serve_inflight"    // gauge: flights not yet completed
+	MetricInflight   = "serve_inflight"    // gauge: flights not yet completed, forwards included
 	MetricQueueDepth = "serve_queue_depth" // gauge: flights waiting for the pool
 	MetricLatencyMs  = "serve_request_latency_ms"
 

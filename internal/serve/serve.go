@@ -171,22 +171,28 @@ type outcome struct {
 	err      error
 }
 
-// flight is one in-flight computation, shared by every request that asked
-// for the same fingerprint while it ran. Its context is a child of the
-// server context, cancelled early when the last interested request leaves
-// — that cancellation reaches the simulation through its run governor.
-// The tenant is the flight creator's: joiners of other tenants share the
-// result but the queue slot is billed to whoever caused the work.
+// flight is one in-flight cell, shared by every request that asked for the
+// same fingerprint while it ran: a computation on this node or, when owner
+// is set, a forward to the peer that owns the fingerprint (forward.go),
+// which falls back to a computation here when the owner gives no
+// authoritative answer. Its context is a child of the server context,
+// cancelled early when the last interested request leaves — that
+// cancellation reaches the simulation through its run governor, and a
+// forward through its hop. The tenant is the flight creator's: joiners of
+// other tenants share the result but the work is billed to whoever
+// caused it.
 type flight struct {
-	key string
-	req Request
-	tn  *tenant
+	key   string
+	req   Request
+	tn    *tenant
+	owner string // the peer forwarded to; "" = computed here
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	done chan struct{} // closed after out is written
-	out  outcome
+	done   chan struct{} // closed after out and cached are written
+	out    outcome
+	cached bool // the owner served it from its cache or store
 
 	waiters int // guarded by Server.mu
 }
@@ -216,7 +222,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	flights  map[string]*flight
-	remotes  map[string]*remoteFlight // in-flight forwards, coalesced by key
 	draining bool
 }
 
@@ -228,7 +233,6 @@ func New(cfg Config) *Server {
 		sim:     sim,
 		met:     newMetrics(sim.Reg),
 		flights: map[string]*flight{},
-		remotes: map[string]*remoteFlight{},
 		readyCh: make(chan struct{}),
 	}
 	s.store = s.cfg.Store
@@ -366,31 +370,25 @@ func (s *Server) storePut(key string, enc []byte) {
 
 // ---- submission / single-flight ----
 
-// ticket is the submit result for one cell: an immediate cached outcome,
-// a local flight to await, or a remote (forwarded) flight to await.
-// Remote tickets also carry what this waiter submitted (req, tn, block)
-// so await can re-run the local path under the waiter's own admission
-// when the shared forward ends in a lifecycle race (remoteFlight.retry).
+// ticket is the submit result for one cell: an immediate cached outcome
+// or a flight to await.
 type ticket struct {
 	key    string
-	req    Request
-	tn     *tenant
-	block  bool
 	cached *outcome
 	f      *flight
-	remote *remoteFlight
 }
 
 // submit resolves one canonical cell: RAM-cache hit, durable-store hit
-// (read-through), a forward to the cell's rendezvous owner node (cluster
-// mode, when the key is not self-owned — serve/forward.go), join of an
-// identical in-flight computation, or a fresh flight pushed onto the fair
-// queue under tn. With block=false a full queue fails fast (the 429
-// path); with block=true the caller waits for a slot (the experiment
-// path, where the client's open request is the backpressure). forwarded
-// marks a request that already took one peer hop: it is always computed
-// locally (the loop guard — peer lists that disagree must converge on a
-// node that does the work, never bounce a request around the ring).
+// (read-through), join of an identical in-flight flight, or a fresh
+// flight. A fresh flight for a key another peer owns (cluster mode,
+// serve/forward.go) forwards to that owner on its own goroutine; any
+// other is pushed onto the fair queue under tn. With block=false a full
+// queue fails fast (the 429 path); with block=true the caller waits for a
+// slot (the experiment path, where the client's open request is the
+// backpressure). forwarded marks a request that already took one peer
+// hop: it never starts or joins a forward (the loop guard — peer lists
+// that disagree must converge on a node that does the work, never bounce
+// a request around the ring or wait on a hop that waits on it).
 func (s *Server) submit(reqCtx context.Context, c Request, tn *tenant, block, forwarded bool) (ticket, *WireError) {
 	key := Fingerprint(c)
 	if out, ok := s.cache.get(key); ok {
@@ -405,38 +403,44 @@ func (s *Server) submit(reqCtx context.Context, c Request, tn *tenant, block, fo
 		tn.hits.Inc()
 		return ticket{key: key, cached: &out}, nil
 	}
+	var owner string
 	if !forwarded && s.cluster != nil {
-		if owner := s.cluster.Owner(key); owner != s.cluster.Self() {
-			if rf := s.submitRemote(key, c, tn, owner); rf != nil {
-				return ticket{key: key, req: c, tn: tn, block: block, remote: rf}, nil
-			}
-			// Draining: fall through — the local path answers it.
+		if o := s.cluster.Owner(key); o != s.cluster.Self() {
+			owner = o
 		}
 	}
-	return s.submitLocal(reqCtx, key, c, tn, block)
-}
 
-// submitLocal is the owner-side (and single-node) path: join or create a
-// local single-flight computation for key.
-func (s *Server) submitLocal(reqCtx context.Context, key string, c Request, tn *tenant, block bool) (ticket, *WireError) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return ticket{}, &WireError{Code: CodeCanceled, Message: "server draining"}
 	}
-	// Join an identical in-flight computation — but never one whose
-	// context is already dead (e.g. during shutdown): joining it would
-	// serve this request a cancellation it had nothing to do with.
-	if f, ok := s.flights[key]; ok && f.ctx.Err() == nil {
+	// Join an identical in-flight flight — but never one whose context is
+	// already dead (e.g. during shutdown): joining it would serve this
+	// request a cancellation it had nothing to do with. A forwarded
+	// request never joins a forward either: that forward may be waiting on
+	// the very peer waiting on this request. Its fresh local flight
+	// replaces the forward in the index; the forward's waiters keep it.
+	if f, ok := s.flights[key]; ok && f.ctx.Err() == nil && (!forwarded || f.owner == "") {
 		f.waiters++
 		s.mu.Unlock()
-		s.met.Coalesced.Inc()
+		if f.owner != "" {
+			s.met.ForwardCoalesced.Inc()
+		} else {
+			s.met.Coalesced.Inc()
+		}
 		return ticket{key: key, f: f}, nil
 	}
 	fctx, fcancel := context.WithCancel(s.baseCtx)
-	f := &flight{key: key, req: c, tn: tn, ctx: fctx, cancel: fcancel, done: make(chan struct{}), waiters: 1}
+	f := &flight{key: key, req: c, tn: tn, owner: owner, ctx: fctx, cancel: fcancel, done: make(chan struct{}), waiters: 1}
 	s.flights[key] = f
 	s.met.Inflight.Store(uint64(len(s.flights)))
+	if owner != "" {
+		s.mu.Unlock()
+		s.met.Forwarded.Inc()
+		go s.forward(f)
+		return ticket{key: key, f: f}, nil
+	}
 	s.met.Misses.Inc()
 
 	if !block {
@@ -521,41 +525,14 @@ func (s *Server) abandonUnqueued(f *flight) {
 // await blocks until the ticket's result is available or the request
 // context is cancelled. A cancelled waiter leaves the flight; the flight
 // itself is cancelled only when its last waiter leaves, so duplicate
-// requests keep a shared computation alive.
+// requests keep a shared computation or forward alive.
 func (s *Server) await(reqCtx context.Context, t ticket) CellResult {
 	if t.cached != nil {
 		return cellResult(t.key, *t.cached, true)
 	}
-	if t.remote != nil {
-		// Remote flights have no per-waiter accounting: the forward is
-		// already bounded by ForwardTimeout and its result warms the
-		// ingress cache even if this waiter leaves.
-		select {
-		case <-t.remote.done:
-			if t.remote.retry {
-				// The shared forward ended in the first caller's race with
-				// the server lifecycle (drain/shutdown), not an
-				// authoritative verdict. This waiter was admitted in its
-				// own right: re-run the local path under its own context —
-				// a genuinely draining server rejects it there, honestly.
-				if out, ok := s.cache.get(t.key); ok {
-					return cellResult(t.key, out, true)
-				}
-				lt, we := s.submitLocal(reqCtx, t.key, t.req, t.tn, t.block)
-				if we != nil {
-					return CellResult{Key: t.key, Error: we}
-				}
-				return s.await(reqCtx, lt) // lt is never remote: depth ≤ 2
-			}
-			return cellResult(t.key, t.remote.out, t.remote.cached)
-		case <-reqCtx.Done():
-			return CellResult{Key: t.key, Error: &WireError{
-				Code: CodeCanceled, Message: "request canceled: " + reqCtx.Err().Error()}}
-		}
-	}
 	select {
 	case <-t.f.done:
-		return cellResult(t.key, t.f.out, false)
+		return cellResult(t.key, t.f.out, t.f.cached)
 	case <-reqCtx.Done():
 		s.leave(t.f)
 		return CellResult{Key: t.key, Error: &WireError{
@@ -581,20 +558,30 @@ func (s *Server) leave(f *flight) {
 	}
 }
 
-// complete publishes a flight's outcome: a successful result is encoded,
-// once, and enters the RAM cache and the durable store (write-behind,
-// before waiters wake — once a client holds a response, the result
-// survives a restart), the flight leaves the index (so later identical
-// requests hit the cache instead), and every waiter wakes.
+// complete finishes a flight this node computed: a successful result is
+// encoded, once, and written to the durable store (write-behind, before
+// waiters wake — once a client holds a response, the result survives a
+// restart), then published.
 func (s *Server) complete(f *flight, out outcome) {
 	if out.err == nil {
 		out = encoded(out)
 	}
 	if out.err == nil {
-		s.cache.add(f.key, out)
 		s.storePut(f.key, out.enc)
 	} else {
 		s.met.CellErrors.Inc()
+	}
+	s.publish(f, out, false)
+}
+
+// publish hands a flight's outcome to its waiters: a successful result
+// enters the RAM cache, the flight leaves the index (so later identical
+// requests hit the cache instead), and every waiter wakes. An owner's
+// answer to a forward is published without complete: the durable store
+// is written only by the owner.
+func (s *Server) publish(f *flight, out outcome, cached bool) {
+	if out.err == nil {
+		s.cache.add(f.key, out)
 	}
 	s.mu.Lock()
 	// Guarded delete: an abandoned flight may already have left the index
@@ -603,7 +590,7 @@ func (s *Server) complete(f *flight, out outcome) {
 		delete(s.flights, f.key)
 	}
 	s.met.Inflight.Store(uint64(len(s.flights)))
-	f.out = out
+	f.out, f.cached = out, cached
 	s.mu.Unlock()
 	close(f.done)
 	f.cancel()
@@ -1052,9 +1039,9 @@ func (s *Server) submitAll(ctx context.Context, cells []Request, tn *tenant, blo
 	return tickets, nil
 }
 
-// release drops the request's waiter on every local flight among tickets
-// it will not await, so abandoned flights are cancelled instead of
-// simulating for nobody.
+// release drops the request's waiter on every flight among tickets it
+// will not await, so abandoned flights are cancelled instead of
+// simulating or forwarding for nobody.
 func (s *Server) release(tickets []ticket) {
 	for _, t := range tickets {
 		if t.f != nil {
@@ -1227,11 +1214,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	// Blocking submit: an experiment larger than the queue trickles in as
 	// the pool drains; the open request is the backpressure. In cluster
-	// mode this IS the scatter: non-owned cells return remote tickets
-	// immediately (the forwards run concurrently, bounded by the per-peer
-	// connection pool) while self-owned cells flow through the local
-	// queue — and the in-order await below is the gather, reusing sched's
-	// deterministic-merge contract.
+	// mode this IS the scatter: a non-owned cell's flight forwards on its
+	// own goroutine, so its ticket returns at once (the forwards run
+	// concurrently, bounded by the per-peer connection pool), while
+	// self-owned cells flow through the local queue — and the in-order
+	// await below is the gather, reusing sched's deterministic-merge
+	// contract.
 	tickets, we := s.submitAll(r.Context(), cells, tn, true, forwarded)
 	if we != nil {
 		writeError(w, http.StatusServiceUnavailable, we)
