@@ -146,7 +146,10 @@ cluster-smoke:
 # the trace format, replay it through the same geometry with no ISA
 # program, and demand exact (delta-0) reconciliation of every per-level
 # reference and miss counter. Repeated for both machine geometries, plus
-# a -j sweep parity check on the geometry-sensitivity table.
+# a -j sweep parity check on the geometry-sensitivity table of each (the
+# in-order base L1 is direct-mapped, so its L1dm row is the base row and
+# the sweep's identical-spec sharing runs), and a check that -sweep
+# refuses a reference budget it would not apply.
 trace-smoke:
 	$(GO) build -o /tmp/informsim ./cmd/informsim
 	$(GO) build -o /tmp/tracecheck ./cmd/tracecheck
@@ -162,6 +165,10 @@ trace-smoke:
 	/tmp/tracereplay -sweep -j 1 /tmp/smoke_ooo.jsonl > /tmp/smoke_sweep_j1.txt
 	/tmp/tracereplay -sweep -j 4 /tmp/smoke_ooo.jsonl > /tmp/smoke_sweep_jN.txt
 	cmp /tmp/smoke_sweep_j1.txt /tmp/smoke_sweep_jN.txt
+	/tmp/tracereplay -machine inorder -sweep -j 1 /tmp/smoke_io.jsonl > /tmp/smoke_sweep_io_j1.txt
+	/tmp/tracereplay -machine inorder -sweep -j 4 /tmp/smoke_io.jsonl > /tmp/smoke_sweep_io_jN.txt
+	cmp /tmp/smoke_sweep_io_j1.txt /tmp/smoke_sweep_io_jN.txt
+	! /tmp/tracereplay -sweep -maxrefs 1 /tmp/smoke_ooo.jsonl > /dev/null 2>&1
 
 # policy-smoke is the replacement-policy acceptance lane (DESIGN.md §17):
 # `-policy lru` must print the committed fig3 block byte for byte (LRU is

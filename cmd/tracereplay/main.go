@@ -13,7 +13,10 @@
 // any delta exits non-zero — this is the trace-integrity gate CI's
 // trace-smoke lane runs. With -sweep, the trace is loaded once and
 // replayed through the default geometry variants (internal/experiments
-// TraceGeometries) on a -j worker pool.
+// TraceGeometries) on a -j worker pool; geometries that share an L1 share
+// one pass, which replays the L1 once and feeds its misses to each of
+// their L2s. -expect and -maxrefs do not apply to a sweep, and giving
+// either with -sweep exits 2.
 //
 // Sampled traces (-trace-sample N recordings) are refused unless
 // -allow-sampled is given: a gapped trace cannot reconcile and silently
@@ -50,6 +53,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: tracereplay [flags] trace.jsonl|-")
 		flag.Usage()
 		os.Exit(2)
+	}
+
+	if *sweep {
+		// The sweep neither reconciles nor bounds its replays; refuse
+		// rather than print a table as if it had.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "expect" || f.Name == "maxrefs" {
+				fmt.Fprintf(os.Stderr, "tracereplay: -%s does not apply to -sweep\n", f.Name)
+				os.Exit(2)
+			}
+		})
 	}
 
 	var cfg core.Config

@@ -112,9 +112,10 @@ func BenchmarkTraceSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkNewHierarchy is the construction cost every replay in that
-// sweep pays once per thread: one op builds the hierarchies of all 20
-// specs of a recording geometry.
+// BenchmarkNewHierarchy is the construction cost a replay of each spec
+// of that sweep pays once per thread: one op builds the hierarchies of
+// all 20 specs of a recording geometry (the sweep itself builds one per
+// group of specs sharing an L1, plus one L2 per further L2 geometry).
 func BenchmarkNewHierarchy(b *testing.B) {
 	for _, m := range sweepMachines {
 		specs := sweepSpecs(ConfigFor(m.machine, core.TrapBranch).HierConfig())

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"informing/internal/mem"
@@ -60,27 +61,76 @@ func (r TraceResult) L2MissRate() float64 {
 	return float64(r.Replay.Total.L2Misses) / float64(r.Replay.Total.L1Misses)
 }
 
-// TraceSweep replays one loaded trace through every geometry, sharding
-// the independent replays across an Options.Workers-bounded pool with
-// the same determinism contract as HandlerOverhead: results arrive in
-// spec order and are bit-identical at any worker count (the replayer is
-// a pure function of the trace and geometry; trace.Data is never
-// mutated, so sharing it across workers is safe). Only Workers and Ctx
-// are consulted from opt. On error the completed prefix is returned
-// with it.
+// TraceSweep replays one loaded trace through every geometry. Specs that
+// share an L1 configuration form one group, in first-appearance order,
+// and each group is one trace.ReplayShared pass: the L1 runs once and
+// every distinct L2 in the group gets its miss stream (specs whose whole
+// HierConfig is identical share one L2 and one result). A spec whose L2
+// configuration is invalid replays alone, so its error stays its own.
+// The groups are sharded across an Options.Workers-bounded pool with the
+// same determinism contract as HandlerOverhead: results arrive in spec
+// order, each exactly what trace.ReplayData returns for that spec, and
+// bit-identical at any worker count (trace.Data is never mutated, so
+// sharing it across workers is safe). Only Workers and Ctx are consulted
+// from opt. On error the completed prefix is returned with the error of
+// the lowest-index failing spec.
 func TraceSweep(d *trace.Data, specs []GeometrySpec, opt Options) ([]TraceResult, error) {
-	jobs := make([]sched.Job[TraceResult], len(specs))
+	type group struct {
+		hiers   []mem.HierConfig // distinct, in first-appearance order
+		members []int            // spec indices, ascending
+		lanes   []int            // per member, its index in hiers
+	}
+	var groups []*group
+	byL1 := map[mem.CacheConfig]*group{}
 	for i, spec := range specs {
-		spec := spec
-		jobs[i] = func(ctx context.Context) (TraceResult, error) {
-			res, err := trace.ReplayData(d, trace.ReplayConfig{Hier: spec.Hier, Ctx: ctx})
-			if err != nil {
-				return TraceResult{}, fmt.Errorf("replay %s: %w", spec.Label, err)
+		shared := spec.Hier.L2.Validate() == nil
+		g := byL1[spec.Hier.L1]
+		if g == nil || !shared {
+			g = &group{}
+			groups = append(groups, g)
+			if shared {
+				byL1[spec.Hier.L1] = g
 			}
-			return TraceResult{Label: spec.Label, Hier: spec.Hier, Replay: *res}, nil
+		}
+		lane := slices.Index(g.hiers, spec.Hier)
+		if lane < 0 {
+			lane = len(g.hiers)
+			g.hiers = append(g.hiers, spec.Hier)
+		}
+		g.members = append(g.members, i)
+		g.lanes = append(g.lanes, lane)
+	}
+	jobs := make([]sched.Job[[]*trace.ReplayResult], len(groups))
+	for k, g := range groups {
+		jobs[k] = func(ctx context.Context) ([]*trace.ReplayResult, error) {
+			res, err := trace.ReplayShared(d, g.hiers, trace.ReplayConfig{Ctx: ctx})
+			if err != nil {
+				return nil, fmt.Errorf("replay %s: %w", specs[g.members[0]].Label, err)
+			}
+			return res, nil
 		}
 	}
-	return sched.Map(opt.Ctx, opt.Workers, jobs)
+	done, err := sched.Map(opt.Ctx, opt.Workers, jobs)
+	out := make([]TraceResult, len(specs))
+	for k, res := range done {
+		g := groups[k]
+		taken := make([]bool, len(g.hiers))
+		for m, i := range g.members {
+			r := *res[g.lanes[m]]
+			if taken[g.lanes[m]] {
+				r.Segments = slices.Clone(r.Segments)
+			}
+			taken[g.lanes[m]] = true
+			out[i] = TraceResult{Label: specs[i].Label, Hier: specs[i].Hier, Replay: r}
+		}
+	}
+	if err != nil {
+		// Every spec below the failing group's first belongs to an
+		// earlier group, and those all completed.
+		first := groups[len(done)].members[0]
+		return out[:first:first], err
+	}
+	return out, nil
 }
 
 // FormatTraceSweep renders a geometry sweep as a text table: one row per

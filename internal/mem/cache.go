@@ -23,7 +23,9 @@ type CacheConfig struct {
 // Sets returns the number of sets implied by the configuration.
 func (c CacheConfig) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
-func (c CacheConfig) validate() error {
+// Validate reports the error NewCache would return for c, without
+// building the cache.
+func (c CacheConfig) Validate() error {
 	switch {
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("mem: line size %d not a power of two", c.LineBytes)
@@ -88,7 +90,7 @@ type way struct {
 // error (the library panic-to-error policy; see DESIGN.md "Robustness
 // model").
 func NewCache(cfg CacheConfig) (*Cache, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	shift := uint(0)

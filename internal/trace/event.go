@@ -16,8 +16,9 @@
 //     them in order, with bounded memory, seq-reset segmentation for
 //     concatenated sweep traces, and sampled-trace refusal (seq gaps)
 //     unless explicitly allowed;
-//   - Replay/ReplayData: drive mem.Hierarchy (per-tid hierarchies with
-//     store-invalidation coherence for multiprocessor traces) and
+//   - Replay/ReplayData/ReplayShared: drive mem.Hierarchy (per-tid
+//     hierarchies with store-invalidation coherence for multiprocessor
+//     traces; ReplayShared feeds one L1's misses to several L2s) and
 //     reconcile the result against the originating stats.Run.
 package trace
 

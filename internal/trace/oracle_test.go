@@ -11,6 +11,7 @@ import (
 
 	"informing/internal/core"
 	"informing/internal/isa"
+	"informing/internal/mem"
 	"informing/internal/obs"
 	"informing/internal/progen"
 	"informing/internal/workload"
@@ -99,7 +100,7 @@ func seqLoad(r io.Reader, cfg ReaderConfig) (*Data, error) {
 }
 
 func seqReplay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
-	rp := newReplayer(cfg)
+	rp := newReplayer(cfg, nil)
 	_, _, err := seqParse(r, cfg.Reader, func(line int, segStart bool, ev *Event) error {
 		if segStart {
 			rp.beginSegment()
@@ -117,7 +118,7 @@ func seqReplay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rp.finish(), nil
+	return rp.finish()[0], nil
 }
 
 // matchesSequential runs Replay and Load over input and demands the
@@ -273,7 +274,9 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 // FuzzReplay runs Replay and Load against the sequential reference on
 // arbitrary input, with blocks of 64 bytes to a few KiB so that the
 // boundaries fall everywhere, under both sampled-trace policies and a
-// range of reference budgets.
+// range of reference budgets. What loads is also replayed through
+// ReplayShared with a second, halved L2 under the same L1, and each
+// result must be the sequential reference's for its own geometry.
 func FuzzReplay(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -296,5 +299,23 @@ func FuzzReplay(f *testing.F) {
 			MaxRefs: []uint64{0, 1, 3, 10}[flags>>1&3],
 		}
 		matchesSequential(t, "fuzz", input, cfg)
+
+		d, err := Load(bytes.NewReader(input), cfg.Reader)
+		if err != nil {
+			return
+		}
+		half := tinyHier()
+		half.L2.SizeBytes /= 2
+		hiers := []mem.HierConfig{tinyHier(), half}
+		got, err := ReplayShared(d, hiers, cfg)
+		for i, h := range hiers {
+			cfg.Hier = h
+			want, wantErr := seqReplay(bytes.NewReader(input), cfg)
+			var res *ReplayResult
+			if err == nil {
+				res = got[i]
+			}
+			sameOutcome(t, fmt.Sprintf("fuzz: ReplayShared[%d]", i), res, err, want, wantErr)
+		}
 	})
 }

@@ -127,7 +127,14 @@ func (r *ReplayResult) Reconcile(run stats.Run) error {
 	return nil
 }
 
-// replayer drives per-tid hierarchies over one segment at a time.
+// replayer drives per-tid hierarchies over one segment at a time. Each
+// tid's hierarchy has one L1 and one or more L2s: the first is the
+// hierarchy's own, driven through ProbeData, and every other one (an
+// l2Lane) is fed exactly the references ProbeData sent to the first (the
+// L1 misses) plus the same coherence invalidations. The hierarchy is
+// non-inclusive and the L2 never invalidates the L1, so the L1's
+// behaviour does not depend on which L2 sits below it, and one pass gives
+// every lane the result a replay through its own hierarchy would.
 type replayer struct {
 	cfg ReplayConfig
 	gov *govern.Governor
@@ -137,14 +144,34 @@ type replayer struct {
 	tids  []int32
 	hiers []*mem.Hierarchy
 
+	// lanes are the L2s beyond the first, each with its own result.
+	lanes []*l2Lane
+
+	// res and seg are the first L2's result; seg's L1 and reference
+	// counters are shared by every lane.
 	res     ReplayResult
 	seg     SegmentResult
 	inSeg   bool
 	allRefs uint64
+
+	// l1Inv is the part of seg.Invalidations the L1s made, which every
+	// lane shares.
+	l1Inv uint64
 }
 
-func newReplayer(cfg ReplayConfig) *replayer {
-	return &replayer{
+// l2Lane is one more L2 geometry under the replayer's L1.
+type l2Lane struct {
+	cfg    mem.CacheConfig
+	caches []*mem.Cache // parallel to replayer.tids
+
+	// seg holds only this L2's counters: L2Misses, LevelMismatches and
+	// its own Invalidations. endSegment fills in the rest.
+	seg SegmentResult
+	res ReplayResult
+}
+
+func newReplayer(cfg ReplayConfig, l2s []mem.CacheConfig) *replayer {
+	rp := &replayer{
 		cfg: cfg,
 		gov: govern.New(govern.Config{
 			Ctx:            cfg.Ctx,
@@ -152,24 +179,38 @@ func newReplayer(cfg ReplayConfig) *replayer {
 			WatchdogCycles: -1,
 		}),
 	}
+	for _, c := range l2s {
+		rp.lanes = append(rp.lanes, &l2Lane{cfg: c})
+	}
+	return rp
 }
 
-func (rp *replayer) hier(tid int32) (*mem.Hierarchy, error) {
+// hier returns tid's hierarchy and its index in rp.tids, building both
+// it and its lanes' L2s on first sight.
+func (rp *replayer) hier(tid int32) (*mem.Hierarchy, int, error) {
 	for i, t := range rp.tids {
 		if t == tid {
-			return rp.hiers[i], nil
+			return rp.hiers[i], i, nil
 		}
 	}
 	if len(rp.tids) >= MaxTids {
-		return nil, fmt.Errorf("trace: more than %d distinct tids", MaxTids)
+		return nil, 0, fmt.Errorf("trace: more than %d distinct tids", MaxTids)
 	}
 	h, err := mem.NewHierarchy(rp.cfg.Hier)
 	if err != nil {
-		return nil, fmt.Errorf("trace: replay hierarchy: %w", err)
+		return nil, 0, fmt.Errorf("trace: replay hierarchy: %w", err)
+	}
+	for _, l := range rp.lanes {
+		c, err := mem.NewCache(l.cfg)
+		if err != nil {
+			return nil, 0, fmt.Errorf("trace: replay hierarchy: L2: %w", err)
+		}
+		c.EnableTaxonomy()
+		l.caches = append(l.caches, c)
 	}
 	rp.tids = append(rp.tids, tid)
 	rp.hiers = append(rp.hiers, h)
-	return h, nil
+	return h, len(rp.tids) - 1, nil
 }
 
 // beginSegment closes the current segment (if any) and starts the next
@@ -192,9 +233,23 @@ func (rp *replayer) endSegment() {
 		// A segment with zero memory references still existed.
 		rp.seg.Tids = 1
 	}
+	for _, l := range rp.lanes {
+		seg := rp.seg
+		seg.L2Misses, seg.LevelMismatches, seg.Invalidations = l.seg.L2Misses, l.seg.LevelMismatches, rp.l1Inv+l.seg.Invalidations
+		seg.L2Tax = stats.MissClasses{}
+		for _, c := range l.caches {
+			seg.L2Tax = seg.L2Tax.Add(c.Taxonomy())
+		}
+		l.res.Segments = append(l.res.Segments, seg)
+		l.res.Total.add(seg)
+		l.seg = SegmentResult{}
+		clear(l.caches)
+		l.caches = l.caches[:0]
+	}
 	rp.res.Segments = append(rp.res.Segments, rp.seg)
 	rp.res.Total.add(rp.seg)
 	rp.seg = SegmentResult{}
+	rp.l1Inv = 0
 	clear(rp.hiers) // the next segment starts cold; let these go
 	rp.tids = rp.tids[:0]
 	rp.hiers = rp.hiers[:0]
@@ -211,7 +266,7 @@ func (rp *replayer) ref(r Ref) error {
 	if err := rp.gov.Tick(); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	h, err := rp.hier(r.Tid)
+	h, ti, err := rp.hier(r.Tid)
 	if err != nil {
 		return err
 	}
@@ -230,6 +285,7 @@ func (rp *replayer) ref(r Ref) error {
 			o := rp.hiers[i]
 			if o.L1.InvalidateCoherence(r.Addr) {
 				rp.seg.Invalidations++
+				rp.l1Inv++
 			}
 			if o.L2.InvalidateCoherence(r.Addr) {
 				rp.seg.Invalidations++
@@ -248,7 +304,36 @@ func (rp *replayer) ref(r Ref) error {
 	if r.Level != 0 && int(r.Level) != level {
 		rp.seg.LevelMismatches++
 	}
+	if len(rp.lanes) != 0 {
+		rp.feedLanes(r, ti, level)
+	}
 	return nil
+}
+
+// feedLanes gives each lane what ProbeData gave the first L2 for r: the
+// access when the L1 missed (level > 1), and the invalidations a store
+// makes in the other tids' L2s.
+func (rp *replayer) feedLanes(r Ref, ti, level int) {
+	for _, l := range rp.lanes {
+		if r.Store {
+			for i, t := range rp.tids {
+				if t != r.Tid && l.caches[i].InvalidateCoherence(r.Addr) {
+					l.seg.Invalidations++
+				}
+			}
+		}
+		lv := level
+		if level != 1 {
+			lv = 2
+			if hit, _, _ := l.caches[ti].Access(r.Addr, r.Store); !hit {
+				l.seg.L2Misses++
+				lv = 3
+			}
+		}
+		if r.Level != 0 && int(r.Level) != lv {
+			l.seg.LevelMismatches++
+		}
+	}
 }
 
 // run replays one run of a segment's references; newSegment starts the
@@ -266,13 +351,18 @@ func (rp *replayer) run(newSegment bool, refs []Ref, events uint64) error {
 	return nil
 }
 
-// finish closes the last segment and returns a copy of the result, so a
-// caller that keeps it (informd caches replays) does not keep the
-// replayer alive.
-func (rp *replayer) finish() *ReplayResult {
+// finish closes the last segment and returns copies of the results, the
+// first L2's then each lane's, so a caller that keeps one (informd caches
+// replays) does not keep the replayer alive.
+func (rp *replayer) finish() []*ReplayResult {
 	rp.endSegment()
 	res := rp.res
-	return &res
+	out := []*ReplayResult{&res}
+	for _, l := range rp.lanes {
+		res := l.res
+		out = append(out, &res)
+	}
+	return out
 }
 
 // Replay streams a JSONL trace from r through the configured hierarchy
@@ -282,18 +372,42 @@ func (rp *replayer) finish() *ReplayResult {
 // is the per-tid hierarchy state of the current segment, which the
 // result does not reference.
 func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
-	rp := newReplayer(cfg)
+	rp := newReplayer(cfg, nil)
 	if _, _, err := parse(r, cfg.Reader, rp.run); err != nil {
 		return nil, err
 	}
-	return rp.finish(), nil
+	return rp.finish()[0], nil
 }
 
 // ReplayData replays an already loaded trace. Data can be replayed many
-// times under different geometries (the experiments sweep does exactly
-// that); each call starts from cold caches.
+// times under different geometries; each call starts from cold caches.
 func ReplayData(d *Data, cfg ReplayConfig) (*ReplayResult, error) {
-	rp := newReplayer(cfg)
+	res, err := ReplayShared(d, []mem.HierConfig{cfg.Hier}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// ReplayShared replays a loaded trace through several hierarchies that
+// share one L1 geometry, in one pass: the L1 runs once per tid and every
+// L2 gets its miss stream. Result i is exactly what ReplayData returns
+// for hiers[i] (cfg.Hier is not consulted). It rejects an empty list and
+// hierarchies whose L1s differ; any error aborts every hierarchy's
+// replay, as it would abort each one alone.
+func ReplayShared(d *Data, hiers []mem.HierConfig, cfg ReplayConfig) ([]*ReplayResult, error) {
+	if len(hiers) == 0 {
+		return nil, errors.New("trace: shared replay: no hierarchies")
+	}
+	var l2s []mem.CacheConfig
+	for i, h := range hiers[1:] {
+		if h.L1 != hiers[0].L1 {
+			return nil, fmt.Errorf("trace: shared replay: hierarchy %d's L1 %+v differs from hierarchy 0's %+v", i+1, h.L1, hiers[0].L1)
+		}
+		l2s = append(l2s, h.L2)
+	}
+	cfg.Hier = hiers[0]
+	rp := newReplayer(cfg, l2s)
 	for i, start := range d.SegStart {
 		end := len(d.Refs)
 		if i+1 < len(d.SegStart) {

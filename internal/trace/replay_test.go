@@ -262,6 +262,13 @@ func TestReplayResultReleasesHierarchies(t *testing.T) {
 	for name, replay := range map[string]func() (*ReplayResult, error){
 		"Replay":     func() (*ReplayResult, error) { return Replay(strings.NewReader(text), ReplayConfig{Hier: big}) },
 		"ReplayData": func() (*ReplayResult, error) { return ReplayData(d, ReplayConfig{Hier: big}) },
+		"ReplayShared": func() (*ReplayResult, error) {
+			res, err := ReplayShared(d, []mem.HierConfig{big, big}, ReplayConfig{})
+			if err != nil {
+				return nil, err
+			}
+			return res[1], nil
+		},
 	} {
 		base := heap()
 		var kept []*ReplayResult
@@ -276,6 +283,24 @@ func TestReplayResultReleasesHierarchies(t *testing.T) {
 		runtime.KeepAlive(kept)
 		if grown > 8<<20 {
 			t.Errorf("%s: keeping %d results grew the heap by %d MB; the results pin their hierarchies", name, len(kept), grown>>20)
+		}
+	}
+}
+
+// ReplayShared takes only hierarchies that share one L1.
+func TestReplaySharedRejectsDifferentL1s(t *testing.T) {
+	d, err := Load(joinTrace(line(0, 1, 0x40, false, false)), ReaderConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := tinyHier()
+	other.L1.Assoc = 1
+	for name, hiers := range map[string][]mem.HierConfig{
+		"none":         nil,
+		"different L1": {tinyHier(), other},
+	} {
+		if res, err := ReplayShared(d, hiers, ReplayConfig{}); err == nil {
+			t.Errorf("%s: got %+v, want an error", name, res)
 		}
 	}
 }
