@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzForwardReply$$ -fuzztime=10s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=^FuzzCanonicalize$$ -fuzztime=10s ./internal/serve
 	$(GO) test -run=^$$ -fuzz=^FuzzStoreEntry$$ -fuzztime=10s ./internal/store
+	$(GO) test -run=^$$ -fuzz=^FuzzCacheMatchesReference$$ -fuzztime=10s ./internal/mem
 
 # fuzz-diff is the cross-engine differential fuzzer (internal/progen):
 # seeded random programs must produce bit-identical architectural state
@@ -229,11 +230,11 @@ paper-check: paper-gen
 		docs_experiments_raw.txt EXPERIMENTS.md
 
 # verify is the full CI gate: build, gofmt, vet, the short and the
-# race-enabled tests, the golden grid and allocation gate, fuzz seeds, the
-# smoke lanes (cluster and chaos included), the paper tables. The short
-# lane and the golden step run without -race, as CI runs them:
-# TestCacheHitAllocations asserts its bounds only without -race. The
-# short passes over the timing cores' hot-path benchmarks, the trace parser's
+# race-enabled tests, the golden grid and the allocation and storage
+# gates, fuzz seeds, the smoke lanes (cluster and chaos included), the
+# paper tables. The short lane and the golden step run without -race,
+# as CI runs them: TestCacheHitAllocations asserts its bounds only
+# without -race. The short passes over the timing cores' hot-path benchmarks, the trace parser's
 # and the replay sweep's keep the benchmarks behind EXPERIMENTS.md
 # "Hot-path benchmarks", "Ingest speed" and "Replay sweep speed" running.
 verify: build
@@ -242,6 +243,7 @@ verify: build
 	$(GO) test -short ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestHotpathGolden|TestTimingHotLoopAllocationFree' ./internal/core
+	$(GO) test -run '^TestCacheStorageFollowsFilledSets$$' ./internal/mem
 	$(GO) test -run '^$$' -bench Hotpath -benchtime 2x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'ParseLine|Load' -benchtime 1x ./internal/trace
 	$(GO) test -run '^$$' -bench 'TraceSweep|NewHierarchy' -benchtime 1x ./internal/experiments

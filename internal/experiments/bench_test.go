@@ -116,6 +116,10 @@ func BenchmarkTraceSweep(b *testing.B) {
 // of that sweep pays once per thread: one op builds the hierarchies of
 // all 20 specs of a recording geometry (the sweep itself builds one per
 // group of specs sharing an L1, plus one L2 per further L2 geometry).
+// A cache allocates the storage of a set when the set is first filled,
+// so construction allocates only the chunk directories and the
+// taxonomy's small starting tables: tens of KB per hierarchy, not the
+// megabytes of its capacity (B/op divided by 20).
 func BenchmarkNewHierarchy(b *testing.B) {
 	for _, m := range sweepMachines {
 		specs := sweepSpecs(ConfigFor(m.machine, core.TrapBranch).HierConfig())

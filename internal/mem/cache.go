@@ -43,33 +43,45 @@ func (c CacheConfig) Validate() error {
 // tag state only (the simulator keeps data in isa.DataMem); a dirty bit is
 // maintained so write-back traffic can be accounted.
 //
+// Storage follows the sets a run fills (DESIGN.md §10): the ways live in
+// chunks of whole sets, and a chunk is allocated when one of its sets is
+// first filled. A missing chunk is exact, not approximate: a set that was
+// never filled holds no valid line, so Contains, Invalidate, Flush and
+// the set scans read it as all-invalid. Each way carries its replacement
+// word (the LRU stamp, or a Policy's word) and the taxonomy's memo, so a
+// run that touches twenty lines of a 2 MB cache pays for twenty chunks
+// rather than every way.
+//
 // A way memo (DESIGN.md §10) remembers the most recently hit or filled
 // (line, way) so the dominant same-line re-reference takes a single-compare
 // fast path instead of the set scan, under every replacement policy.
-// Invariant: whenever memoOK is set, ways[memoIdx] is valid and holds tag
+// Invariant: whenever memoOK is set, *memoWay is valid and holds tag
 // memoLine. Every mutation that could break the invariant — Invalidate,
 // Flush, victim replacement — clears or retargets the memo, so a memoized
 // hit can never survive an invalidation, and Accesses/Misses and the
-// replacement state (LRU stamps or Policy metadata) are bit-identical to
-// the unmemoized cache.
+// replacement state (LRU stamps or Policy words) are bit-identical to the
+// unmemoized cache.
 type Cache struct {
-	cfg       CacheConfig
-	lineShift uint
-	setMask   uint64
-	ways      []way // sets*assoc, set-major
+	cfg        CacheConfig
+	lineShift  uint
+	setMask    uint64
+	chunkShift uint // set index >> chunkShift = chunk index
+	chunkSets  int  // sets per chunk, a power of two
+
+	// chunks[i] holds sets i*chunkSets .. (i+1)*chunkSets-1, set-major;
+	// it is nil until one of them is first filled.
+	chunks [][]way
 
 	stamp uint64 // LRU clock
 
 	memoLine uint64 // line address (addr >> lineShift) of the memoized way
-	memoIdx  int32  // global way index of the memoized line
+	memoWay  *way
 	memoOK   bool
 
 	// pol, when non-nil, is the replacement policy the cache was built
-	// with; polMeta is its per-way metadata (set-major, parallel to
-	// ways). nil pol selects the built-in true-LRU path, which uses
-	// way.used/stamp and never consults the seam.
-	pol     Policy
-	polMeta []uint64
+	// with. nil pol selects the built-in true-LRU path, which uses
+	// way.meta as a stamp and never consults the seam.
+	pol Policy
 
 	// tax, when non-nil, classifies every miss online (see Taxonomy).
 	tax *Taxonomy
@@ -79,11 +91,22 @@ type Cache struct {
 	Misses   uint64
 }
 
+// chunkWays is the way count a chunk is sized toward: a chunk holds the
+// largest power-of-two number of whole sets that fits in it, or one set
+// when a set is larger.
+const chunkWays = 64
+
+// way is one cache way. meta is its replacement word: under LRU the stamp
+// of its last reference, under a Policy that policy's word. ref is the
+// miss taxonomy's memo of the shadow node last associated with the way
+// (see Taxonomy); it fills the padding after tag, so a way stays 24
+// bytes.
 type way struct {
 	tag   uint64
+	ref   int32
 	valid bool
 	dirty bool
-	used  uint64
+	meta  uint64
 }
 
 // NewCache builds a cache, rejecting invalid configurations with an
@@ -105,12 +128,14 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		cfg:       cfg,
 		lineShift: shift,
 		setMask:   uint64(cfg.Sets() - 1),
-		ways:      make([]way, cfg.Sets()*cfg.Assoc),
+		chunkSets: 1,
 		pol:       pol,
 	}
-	if pol != nil {
-		c.polMeta = make([]uint64, cfg.Sets()*cfg.Assoc)
+	for 2*c.chunkSets*cfg.Assoc <= chunkWays && 2*c.chunkSets <= cfg.Sets() {
+		c.chunkSets *= 2
+		c.chunkShift++
 	}
+	c.chunks = make([][]way, cfg.Sets()/c.chunkSets)
 	return c, nil
 }
 
@@ -127,9 +152,34 @@ func MustCache(cfg CacheConfig) *Cache {
 // Line returns the line address (addr with the offset bits cleared).
 func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
 
-func (c *Cache) set(addr uint64) []way {
-	s := int(addr >> c.lineShift & c.setMask)
-	return c.ways[s*c.cfg.Assoc : (s+1)*c.cfg.Assoc]
+// locate returns the chunk holding tag's set and the index of the set's
+// first way in it. Masking the shift count (always below 64) spares every
+// set scan the compiler's guard for oversized shifts.
+func (c *Cache) locate(tag uint64) (ci, off int) {
+	s := int(tag & c.setMask)
+	return s >> (c.chunkShift & 63), (s & (c.chunkSets - 1)) * c.cfg.Assoc
+}
+
+// fillSet returns tag's set for an access that may fill it, allocating
+// the set's chunk when the access is the first to touch it.
+func (c *Cache) fillSet(tag uint64) []way {
+	ci, off := c.locate(tag)
+	ch := c.chunks[ci]
+	if ch == nil {
+		ch = make([]way, c.chunkSets*c.cfg.Assoc)
+		c.chunks[ci] = ch
+	}
+	return ch[off : off+c.cfg.Assoc]
+}
+
+// set returns tag's set, nil when its chunk was never allocated: a set
+// that was never filled holds no valid line.
+func (c *Cache) set(tag uint64) []way {
+	ci, off := c.locate(tag)
+	if c.chunks[ci] == nil {
+		return nil
+	}
+	return c.chunks[ci][off : off+c.cfg.Assoc]
 }
 
 // Access looks up addr, updating LRU state and allocating the line on a
@@ -150,19 +200,18 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, writeback uint64, wb 
 // the policy's Touch on the memoized way.
 func (c *Cache) memoHit(tag uint64, write bool) {
 	c.Accesses++
-	w := &c.ways[c.memoIdx]
+	w := c.memoWay
 	if c.pol == nil {
 		c.stamp++
-		w.used = c.stamp
+		w.meta = c.stamp
 	} else {
-		base := int(tag&c.setMask) * c.cfg.Assoc
-		c.pol.Touch(c.polMeta[base:base+c.cfg.Assoc], int(c.memoIdx)-base)
+		c.pol.Touch(&w.meta)
 	}
 	if write {
 		w.dirty = true
 	}
 	if c.tax != nil {
-		c.tax.hit(tag, int(c.memoIdx))
+		c.tax.hit(tag, &w.ref)
 	}
 }
 
@@ -175,45 +224,44 @@ func (c *Cache) accessSlow(tag uint64, write bool) (hit bool, writeback uint64, 
 		return c.accessPolicy(tag, write)
 	}
 	c.Accesses++
-	base := int(tag&c.setMask) * c.cfg.Assoc
-	set := c.ways[base : base+c.cfg.Assoc]
+	set := c.fillSet(tag)
 	c.stamp++
 	victim, invalidFound := 0, false
 	for i := range set {
 		w := &set[i]
 		if w.valid && w.tag == tag {
-			w.used = c.stamp
+			w.meta = c.stamp
 			if write {
 				w.dirty = true
 			}
-			c.memoLine, c.memoIdx, c.memoOK = tag, int32(base+i), true
+			c.memoLine, c.memoWay, c.memoOK = tag, w, true
 			if c.tax != nil {
-				c.tax.hit(tag, base+i)
+				c.tax.hit(tag, &w.ref)
 			}
 			return true, 0, false
 		}
 		if !invalidFound {
 			if !w.valid {
 				victim, invalidFound = i, true
-			} else if w.used < set[victim].used {
+			} else if w.meta < set[victim].meta {
 				victim = i
 			}
 		}
 	}
 	c.Misses++
-	if c.tax != nil {
-		c.tax.miss(tag, base+victim)
-	}
 	w := &set[victim]
 	if w.valid && w.dirty {
 		writeback = w.tag << c.lineShift
 		wb = true
 	}
-	*w = way{tag: tag, valid: true, dirty: write, used: c.stamp}
+	*w = way{tag: tag, valid: true, dirty: write, meta: c.stamp}
+	if c.tax != nil {
+		c.tax.miss(tag, &w.ref)
+	}
 	// Retarget the memo at the freshly filled line: the replacement may
 	// just have evicted the memoized line from this very way, and the new
 	// line is the MRU re-reference candidate either way.
-	c.memoLine, c.memoIdx, c.memoOK = tag, int32(base+victim), true
+	c.memoLine, c.memoWay, c.memoOK = tag, w, true
 	return false, writeback, wb
 }
 
@@ -225,20 +273,18 @@ func (c *Cache) accessSlow(tag uint64, write bool) (hit bool, writeback uint64, 
 // ProbeData and Contains stay exact under every policy.
 func (c *Cache) accessPolicy(tag uint64, write bool) (hit bool, writeback uint64, wb bool) {
 	c.Accesses++
-	base := int(tag&c.setMask) * c.cfg.Assoc
-	set := c.ways[base : base+c.cfg.Assoc]
-	meta := c.polMeta[base : base+c.cfg.Assoc]
+	set := c.fillSet(tag)
 	victim, invalidFound := -1, false
 	for i := range set {
 		w := &set[i]
 		if w.valid && w.tag == tag {
-			c.pol.Touch(meta, i)
+			c.pol.Touch(&w.meta)
 			if write {
 				w.dirty = true
 			}
-			c.memoLine, c.memoIdx, c.memoOK = tag, int32(base+i), true
+			c.memoLine, c.memoWay, c.memoOK = tag, w, true
 			if c.tax != nil {
-				c.tax.hit(tag, base+i)
+				c.tax.hit(tag, &w.ref)
 			}
 			return true, 0, false
 		}
@@ -248,14 +294,8 @@ func (c *Cache) accessPolicy(tag uint64, write bool) (hit bool, writeback uint64
 	}
 	c.Misses++
 	if !invalidFound {
-		victim = c.pol.Victim(meta)
-		c.pol.Evict(set[victim].tag, meta[victim])
-	}
-	if c.tax != nil {
-		// After victim selection so the classifier can re-aim the way
-		// memo at the filled way; the classifier shares no state with
-		// the policy, so the move is observation-order neutral.
-		c.tax.miss(tag, base+victim)
+		victim = c.pol.Victim(set)
+		c.pol.Evict(set[victim].tag, set[victim].meta)
 	}
 	w := &set[victim]
 	if w.valid && w.dirty {
@@ -263,8 +303,14 @@ func (c *Cache) accessPolicy(tag uint64, write bool) (hit bool, writeback uint64
 		wb = true
 	}
 	*w = way{tag: tag, valid: true, dirty: write}
-	c.pol.Fill(meta, victim, tag)
-	c.memoLine, c.memoIdx, c.memoOK = tag, int32(base+victim), true
+	if c.tax != nil {
+		// After the fill so the classifier can re-aim the filled way's
+		// memo; the classifier shares no state with the policy, so the
+		// move is observation-order neutral.
+		c.tax.miss(tag, &w.ref)
+	}
+	c.pol.Fill(&w.meta, tag)
+	c.memoLine, c.memoWay, c.memoOK = tag, w, true
 	return false, writeback, wb
 }
 
@@ -276,7 +322,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	if c.memoOK && c.memoLine == tag {
 		return true
 	}
-	for _, w := range c.set(addr) {
+	for _, w := range c.set(tag) {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -286,24 +332,19 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // Invalidate removes addr's line if present and reports whether it was.
 // The way memo is cleared when it named the invalidated line, so a
-// memoized hit can never survive an invalidation.
+// memoized hit can never survive an invalidation. Clearing the way zeroes
+// its replacement word, as the Policy contract requires.
 func (c *Cache) Invalidate(addr uint64) bool {
 	tag := addr >> c.lineShift
 	if c.memoOK && c.memoLine == tag {
 		c.memoOK = false
-		c.ways[c.memoIdx] = way{}
-		if c.polMeta != nil {
-			c.polMeta[c.memoIdx] = 0
-		}
+		*c.memoWay = way{}
 		return true
 	}
-	set := c.set(addr)
+	set := c.set(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i] = way{}
-			if c.polMeta != nil {
-				c.polMeta[int(addr>>c.lineShift&c.setMask)*c.cfg.Assoc+i] = 0
-			}
 			return true
 		}
 	}
@@ -311,18 +352,14 @@ func (c *Cache) Invalidate(addr uint64) bool {
 }
 
 // Flush invalidates the entire cache (context switch modelling). The
-// taxonomy's fully-associative shadow is flushed alongside, so post-flush
+// chunks are kept, cleared, for the refills that follow. The taxonomy's
+// fully-associative shadow is flushed alongside, so post-flush
 // re-references classify as capacity misses rather than inheriting
 // pre-switch recency.
 func (c *Cache) Flush() {
 	c.memoOK = false
-	for i := range c.ways {
-		c.ways[i] = way{}
-	}
-	if c.polMeta != nil {
-		for i := range c.polMeta {
-			c.polMeta[i] = 0
-		}
+	for _, ch := range c.chunks {
+		clear(ch)
 	}
 	if c.tax != nil {
 		c.tax.flush()

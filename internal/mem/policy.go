@@ -8,29 +8,33 @@ import "fmt"
 // historical inline path (bit-identical to the pre-seam cache) and never
 // sees a Policy call.
 //
-// The hooks operate on a per-set slice of per-way metadata words. The
-// cache owns the words and guarantees:
+// The hooks operate on per-way metadata words: each way of the cache
+// carries one (way.meta, the word true LRU uses for its stamp), so the
+// implementations live in this package. The cache owns the words and
+// guarantees:
 //
-//   - meta has exactly Assoc entries, in way order, zero on construction
-//     and after any invalidation of the way;
+//   - a way's word is zero on construction and after any invalidation of
+//     the way;
 //   - Touch is called on every hit (including memoized hits) with the
-//     hitting way — and never from Contains, which must not disturb
-//     replacement state;
+//     hitting way's word — and never from Contains, which must not
+//     disturb replacement state;
 //   - Fill is called after the victim's way has been loaded with the new
 //     tag (the cache fills the first invalid way itself; Victim is
-//     consulted only when the set is full);
+//     consulted only when the set is full, with the set's ways in way
+//     order);
 //   - Evict is called just before a valid victim is overwritten, with the
 //     evicted tag and its final metadata word, so history-keeping
 //     policies (TRRIP) can record the line's fate.
 type Policy interface {
 	// Name returns the registry name the policy was built under.
 	Name() string
-	// Touch records a hit on way w.
-	Touch(meta []uint64, w int)
-	// Fill initialises way w's metadata for newly filled tag.
-	Fill(meta []uint64, w int, tag uint64)
-	// Victim picks the way to replace in a full set.
-	Victim(meta []uint64) int
+	// Touch records a hit on the way whose word is m.
+	Touch(m *uint64)
+	// Fill initialises the word m of a way newly filled with tag.
+	Fill(m *uint64, tag uint64)
+	// Victim picks the way to replace in a full set, and may age the
+	// set's words doing so.
+	Victim(set []way) int
 	// Evict observes the eviction of tag whose final metadata was m.
 	Evict(tag uint64, m uint64)
 }
@@ -88,26 +92,26 @@ type srrip struct{}
 
 func (*srrip) Name() string { return "srrip" }
 
-func (*srrip) Touch(meta []uint64, w int) { meta[w] = reuseBit } // RRPV 0 + reused
+func (*srrip) Touch(m *uint64) { *m = reuseBit } // RRPV 0 + reused
 
-func (*srrip) Fill(meta []uint64, w int, tag uint64) { meta[w] = rrpvLong }
+func (*srrip) Fill(m *uint64, tag uint64) { *m = rrpvLong }
 
-func (*srrip) Victim(meta []uint64) int { return rripVictim(meta) }
+func (*srrip) Victim(set []way) int { return rripVictim(set) }
 
 func (*srrip) Evict(tag uint64, m uint64) {}
 
 // rripVictim scans for the first way at maximum RRPV, aging every way by
 // one until such a way exists. Terminates: each aging pass strictly
 // increases the set's maximum RRPV toward rrpvMax.
-func rripVictim(meta []uint64) int {
+func rripVictim(set []way) int {
 	for {
-		for i, m := range meta {
-			if m&rrpvMask == rrpvMax {
+		for i := range set {
+			if set[i].meta&rrpvMask == rrpvMax {
 				return i
 			}
 		}
-		for i := range meta {
-			meta[i]++ // low bits only ever reach rrpvMax before returning
+		for i := range set {
+			set[i].meta++ // low bits only ever reach rrpvMax before returning
 		}
 	}
 }
@@ -122,18 +126,18 @@ type brrip struct {
 
 func (*brrip) Name() string { return "brrip" }
 
-func (*brrip) Touch(meta []uint64, w int) { meta[w] = reuseBit }
+func (*brrip) Touch(m *uint64) { *m = reuseBit }
 
-func (b *brrip) Fill(meta []uint64, w int, tag uint64) {
+func (b *brrip) Fill(m *uint64, tag uint64) {
 	b.fills++
 	if b.fills%brripEvery == 0 {
-		meta[w] = rrpvLong
+		*m = rrpvLong
 	} else {
-		meta[w] = rrpvDist
+		*m = rrpvDist
 	}
 }
 
-func (*brrip) Victim(meta []uint64) int { return rripVictim(meta) }
+func (*brrip) Victim(set []way) int { return rripVictim(set) }
 
 func (*brrip) Evict(tag uint64, m uint64) {}
 
@@ -148,11 +152,13 @@ func (*brrip) Evict(tag uint64, m uint64) {}
 // 0 = empty) of twice the history's size, so it is at most half full; a
 // FIFO ring of the remembered tags bounds it, and the tag the ring
 // forgets leaves the table by backward-shift deletion, which keeps every
-// probe run unbroken without tombstones.
+// probe run unbroken without tombstones. The table and the ring are
+// allocated at the first eviction; until then every tag is unknown, so a
+// cache whose sets never fill up pays nothing for them.
 type trrip struct {
-	keys  [trripSlots]uint64
-	temps [trripSlots]uint8 // tempHot/tempCold, parallel to keys; 0 when empty
-	ring  []uint64          // FIFO of remembered tags, bounding the table
+	keys  []uint64 // trripSlots entries once allocated
+	temps []uint8  // tempHot/tempCold, parallel to keys; 0 when empty
+	ring  []uint64 // FIFO of remembered tags, bounding the table
 	next  int
 }
 
@@ -164,32 +170,38 @@ const (
 	tempHot      = 2
 )
 
-func newTRRIP() *trrip {
-	return &trrip{ring: make([]uint64, 0, trripHistory)}
-}
+func newTRRIP() *trrip { return &trrip{} }
 
 func (*trrip) Name() string { return "trrip" }
 
-func (*trrip) Touch(meta []uint64, w int) { meta[w] = reuseBit }
+func (*trrip) Touch(m *uint64) { *m = reuseBit }
 
-func (t *trrip) Fill(meta []uint64, w int, tag uint64) {
-	i, _ := t.slot(tag) // an empty slot's temperature is 0: unknown
-	switch t.temps[i] {
+func (t *trrip) Fill(m *uint64, tag uint64) {
+	var temp uint8 // unknown, as an empty slot's temperature is
+	if t.keys != nil {
+		i, _ := t.slot(tag)
+		temp = t.temps[i]
+	}
+	switch temp {
 	case tempHot:
-		meta[w] = rrpvNear
+		*m = rrpvNear
 	case tempCold:
-		meta[w] = rrpvDist
+		*m = rrpvDist
 	default:
-		meta[w] = rrpvLong
+		*m = rrpvLong
 	}
 }
 
-func (*trrip) Victim(meta []uint64) int { return rripVictim(meta) }
+func (*trrip) Victim(set []way) int { return rripVictim(set) }
 
 func (t *trrip) Evict(tag uint64, m uint64) {
 	temp := uint8(tempCold)
 	if m&reuseBit != 0 {
 		temp = tempHot
+	}
+	if t.keys == nil {
+		t.keys, t.temps = make([]uint64, trripSlots), make([]uint8, trripSlots)
+		t.ring = make([]uint64, 0, trripHistory)
 	}
 	i, known := t.slot(tag)
 	if !known {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -211,16 +212,25 @@ func TestPolicyCacheMatchesReference(t *testing.T) {
 // exercised heavily. The miss taxonomy is enabled on the Cache side
 // throughout — it must be observation-only, so its presence cannot
 // perturb any outcome — and its four classes must sum exactly to the
-// misses on every trace.
+// misses since it was last enabled. Halfway through each trace it is
+// enabled a second time on the used cache: the ways keep taxonomy memos
+// naming nodes of the replaced classifier, and no hit may follow one.
+// After the trace, every set is probed with Contains and Invalidate of a
+// line the trace never drew, so sets whose storage was never allocated
+// answer alongside the filled ones.
 //
-// All but the last row draw from 64 random addresses, so hits, promotion
-// and aging all engage; the rows run from direct-mapped to a single
-// 16-way set. The last draws from more than four times TRRIP's 1024-tag
+// The first five rows draw from 64 random addresses, so hits, promotion
+// and aging all engage; they run from direct-mapped to a single 16-way
+// set. The sixth draws from more than four times TRRIP's 1024-tag
 // history in distinct lines through a cache small enough that nearly
 // every miss evicts, even between flushes, so the history fills and
-// forgets its oldest tags over and over, while half its draws come from
-// a warm subset whose refills consult the history before it forgets
-// them.
+// forgets its oldest tags over and over. The storage rows (see Cache)
+// follow: a 256 KB cache whose 64 addresses leave most of its chunks
+// unallocated; a 64 KB cache whose pool fills every set; a 3-way cache,
+// whose chunks hold 16 sets and 48 ways; and a 128-way cache, whose
+// sets are larger than chunkWays. Half the draws of every row with a
+// line pool come from a warm subset whose refills consult the TRRIP
+// history before it forgets them.
 func checkCacheMatchesReference(t *testing.T, policy string) {
 	rows := []struct {
 		geom  CacheConfig
@@ -232,6 +242,10 @@ func checkCacheMatchesReference(t *testing.T, policy string) {
 		{CacheConfig{SizeBytes: 4096, LineBytes: 64, Assoc: 4}, 0},
 		{CacheConfig{SizeBytes: 256, LineBytes: 16, Assoc: 16}, 0},
 		{CacheConfig{SizeBytes: 512, LineBytes: 64, Assoc: 2}, 5000},
+		{CacheConfig{SizeBytes: 256 << 10, LineBytes: 32, Assoc: 2}, 0},
+		{CacheConfig{SizeBytes: 64 << 10, LineBytes: 32, Assoc: 4}, 5000},
+		{CacheConfig{SizeBytes: 3 * 32 << 8, LineBytes: 32, Assoc: 3}, 2000},
+		{CacheConfig{SizeBytes: 128 * 16 * 4, LineBytes: 16, Assoc: 128}, 1000},
 	}
 	for gi, row := range rows {
 		for seed := int64(0); seed < 8; seed++ {
@@ -256,8 +270,12 @@ func checkCacheMatchesReference(t *testing.T, policy string) {
 					pool[i] = (uint64(rng.Int63n(1<<30))<<13 | uint64(i)) * uint64(cfg.LineBytes)
 				}
 			}
-			var last uint64
+			var last, taxBase uint64
 			for op := 0; op < 12000; op++ {
+				if op == 6000 {
+					stepBoth(c, ref, opRetax, 0)
+					taxBase = c.Misses
+				}
 				var addr uint64
 				switch rng.Intn(4) {
 				case 0:
@@ -270,47 +288,153 @@ func checkCacheMatchesReference(t *testing.T, policy string) {
 					addr = pool[i]
 				}
 				last = addr
+				var kind int
 				switch k := rng.Intn(100); {
 				case k < 70:
-					write := rng.Intn(3) == 0
-					gh, gwb, gok := c.Access(addr, write)
-					wh, wwb, wok := ref.access(addr, write)
-					if gh != wh || gwb != wwb || gok != wok {
-						t.Fatalf("geom %d seed %d op %d: Access(%#x,%v) = (%v,%#x,%v), reference (%v,%#x,%v)",
-							gi, seed, op, addr, write, gh, gwb, gok, wh, wwb, wok)
+					kind = opRead
+					if rng.Intn(3) == 0 {
+						kind = opWrite
 					}
 				case k < 85:
-					if g, w := c.Contains(addr), ref.contains(addr); g != w {
-						t.Fatalf("geom %d seed %d op %d: Contains(%#x) = %v, reference %v", gi, seed, op, addr, g, w)
-					}
+					kind = opContains
 				case k < 98:
-					if g, w := c.Invalidate(addr), ref.invalidate(addr); g != w {
-						t.Fatalf("geom %d seed %d op %d: Invalidate(%#x) = %v, reference %v", gi, seed, op, addr, g, w)
-					}
+					kind = opInvalidate
 				default:
-					c.Flush()
-					ref.flush()
+					kind = opFlush
+				}
+				if d := stepBoth(c, ref, kind, addr); d != "" {
+					t.Fatalf("geom %d seed %d op %d: %s", gi, seed, op, d)
 				}
 			}
-			if c.Accesses != ref.accesses || c.Misses != ref.misses {
-				t.Fatalf("geom %d seed %d: stats (%d,%d), reference (%d,%d)",
-					gi, seed, c.Accesses, c.Misses, ref.accesses, ref.misses)
-			}
-			for s, set := range ref.lines {
-				for i, w := range set {
-					g := c.ways[s*cfg.Assoc+i]
-					if g.valid != w.valid || w.valid && (g.tag != w.tag || g.dirty != w.dirty) {
-						t.Fatalf("geom %d seed %d: set %d way %d holds (valid %v, tag %#x, dirty %v), reference (%v, %#x, %v)",
-							gi, seed, s, i, g.valid, g.tag, g.dirty, w.valid, w.tag, w.dirty)
+			for s := 0; s < cfg.Sets(); s++ {
+				addr := (uint64(rng.Int63n(1<<40))*uint64(cfg.Sets()) + uint64(s)) * uint64(cfg.LineBytes)
+				for _, kind := range []int{opContains, opInvalidate} {
+					if d := stepBoth(c, ref, kind, addr); d != "" {
+						t.Fatalf("geom %d seed %d, set %d probe: %s", gi, seed, s, d)
 					}
 				}
 			}
-			tx := c.Taxonomy()
-			if sum := tx.Compulsory + tx.Capacity + tx.Conflict + tx.Coherence; sum != c.Misses {
-				t.Fatalf("geom %d seed %d: taxonomy classes sum %d, misses %d (%+v)", gi, seed, sum, c.Misses, tx)
+			if d := diffState(c, ref, taxBase); d != "" {
+				t.Fatalf("geom %d seed %d: %s", gi, seed, d)
 			}
 		}
 	}
+}
+
+// The operations stepBoth applies.
+const (
+	opRead = iota
+	opWrite
+	opContains
+	opInvalidate
+	opFlush
+	opRetax // EnableTaxonomy again on the used Cache; refCache has none
+	numOps
+)
+
+// stepBoth applies one operation to c and ref and describes the first
+// difference between their results, or returns "".
+func stepBoth(c *Cache, ref *refCache, op int, addr uint64) string {
+	switch op {
+	case opRead, opWrite:
+		write := op == opWrite
+		gh, gwb, gok := c.Access(addr, write)
+		wh, wwb, wok := ref.access(addr, write)
+		if gh != wh || gwb != wwb || gok != wok {
+			return fmt.Sprintf("Access(%#x,%v) = (%v,%#x,%v), reference (%v,%#x,%v)",
+				addr, write, gh, gwb, gok, wh, wwb, wok)
+		}
+	case opContains:
+		if g, w := c.Contains(addr), ref.contains(addr); g != w {
+			return fmt.Sprintf("Contains(%#x) = %v, reference %v", addr, g, w)
+		}
+	case opInvalidate:
+		if g, w := c.Invalidate(addr), ref.invalidate(addr); g != w {
+			return fmt.Sprintf("Invalidate(%#x) = %v, reference %v", addr, g, w)
+		}
+	case opFlush:
+		c.Flush()
+		ref.flush()
+	case opRetax:
+		c.EnableTaxonomy()
+	}
+	return ""
+}
+
+// diffState compares the statistics and every way's tag, valid and dirty
+// bits, and checks that the taxonomy's classes sum to the misses since
+// c's Misses was taxBase. It describes the first difference, or returns
+// "".
+func diffState(c *Cache, ref *refCache, taxBase uint64) string {
+	if c.Accesses != ref.accesses || c.Misses != ref.misses {
+		return fmt.Sprintf("stats (%d,%d), reference (%d,%d)", c.Accesses, c.Misses, ref.accesses, ref.misses)
+	}
+	for s, set := range ref.lines {
+		for i, w := range set {
+			g := c.wayAt(s, i)
+			if g.valid != w.valid || w.valid && (g.tag != w.tag || g.dirty != w.dirty) {
+				return fmt.Sprintf("set %d way %d holds (valid %v, tag %#x, dirty %v), reference (%v, %#x, %v)",
+					s, i, g.valid, g.tag, g.dirty, w.valid, w.tag, w.dirty)
+			}
+		}
+	}
+	tx := c.Taxonomy()
+	if sum := tx.Compulsory + tx.Capacity + tx.Conflict + tx.Coherence; sum != c.Misses-taxBase {
+		return fmt.Sprintf("taxonomy classes sum %d, misses since enabled %d (%+v)", sum, c.Misses-taxBase, tx)
+	}
+	return ""
+}
+
+// fuzzGeoms are the geometries FuzzCacheMatchesReference draws from: the
+// battery's small and odd rows (direct-mapped, 3-way, sets larger than a
+// chunk) and a 64 KB cache of 32 chunks.
+var fuzzGeoms = []CacheConfig{
+	{SizeBytes: 512, LineBytes: 32, Assoc: 1},
+	{SizeBytes: 2048, LineBytes: 64, Assoc: 4},
+	{SizeBytes: 256, LineBytes: 16, Assoc: 16},
+	{SizeBytes: 3 * 32 << 8, LineBytes: 32, Assoc: 3},
+	{SizeBytes: 128 * 16 * 4, LineBytes: 16, Assoc: 128},
+	{SizeBytes: 64 << 10, LineBytes: 32, Assoc: 2},
+}
+
+// FuzzCacheMatchesReference maps its input to a geometry of fuzzGeoms
+// (byte 0), a policy (byte 1) and an operation stream (three bytes per
+// operation: the kind in the low bits of the first, a byte offset in its
+// high nibble, and a 16-bit line number), replays the stream through a
+// taxonomy-enabled Cache and through refCache, and compares every
+// operation's result and the statistics after it, then the final state
+// of every way.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add([]byte{5, 0, opRead, 0, 1, opWrite, 4, 1, opRead, 0, 1, opInvalidate, 0, 1, opContains, 0, 1})
+	f.Add([]byte{3, 3, opRead, 0, 0, opRead, 1, 0, opRead, 2, 0, opRetax, 0, 0, opRead, 1, 0, opFlush, 0, 0, opRead, 1, 0})
+	f.Add([]byte{4, 1, opWrite, 0, 0, opWrite, 0, 4, opContains, 0, 8, opInvalidate, 0, 12, opRead, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		cfg := fuzzGeoms[int(data[0])%len(fuzzGeoms)]
+		cfg.Policy = PolicyNames()[int(data[1])%len(PolicyNames())]
+		c := MustCache(cfg)
+		c.EnableTaxonomy()
+		ref := newRefCache(cfg)
+		var taxBase uint64
+		for ops := data[2:]; len(ops) >= 3; ops = ops[3:] {
+			kind := int(ops[0]&0x0f) % numOps
+			addr := (uint64(ops[1])<<8|uint64(ops[2]))*uint64(cfg.LineBytes) + uint64(ops[0]>>4)%uint64(cfg.LineBytes)
+			if d := stepBoth(c, ref, kind, addr); d != "" {
+				t.Fatalf("%+v: %s", cfg, d)
+			}
+			if kind == opRetax {
+				taxBase = c.Misses
+			}
+			if c.Accesses != ref.accesses || c.Misses != ref.misses {
+				t.Fatalf("%+v: stats (%d,%d), reference (%d,%d)", cfg, c.Accesses, c.Misses, ref.accesses, ref.misses)
+			}
+		}
+		if d := diffState(c, ref, taxBase); d != "" {
+			t.Fatalf("%+v: %s", cfg, d)
+		}
+	})
 }
 
 // TestHierarchyMemoMatchesReference replays random reference streams
@@ -367,4 +491,14 @@ func TestHierarchyMemoMatchesReference(t *testing.T) {
 		t.Fatalf("L2 stats (%d,%d), reference (%d,%d)",
 			h.L2.Accesses, h.L2.Misses, ref2.accesses, ref2.misses)
 	}
+}
+
+// wayAt returns way i of set s, the zero (invalid) way when the set's
+// chunk was never allocated.
+func (c *Cache) wayAt(s, i int) way {
+	ch := c.chunks[s>>c.chunkShift]
+	if ch == nil {
+		return way{}
+	}
+	return ch[(s&(c.chunkSets-1))*c.cfg.Assoc+i]
 }

@@ -40,11 +40,13 @@ import "informing/internal/stats"
 // been recycled to another tag (or dropped by a flush) reads as absent
 // from the shadow, so no entry ever needs updating when its node moves
 // on. The dominant operation — refreshing shadow recency on a cache hit
-// — usually skips the table via wayRef, a per-cache-way memo of the
-// shadow node last associated with that way, validated against the
-// node's tag before use. Both structures grow by amortized doubling, so
-// the steady-state hot path is allocation-free and a short replay pays
-// only for the lines it touches.
+// — usually skips the table via the way's ref, a memo of the shadow node
+// last associated with that cache way, validated against the node's tag
+// before use. The ref lives in the way's padding (see Cache), so it costs
+// no memory of its own and exists only for ways a run has filled. Both
+// structures start small (the table at 256 entries, 4 KB) and grow by
+// amortized doubling, so the steady-state hot path is allocation-free and
+// a short replay pays only for the lines it touches.
 type Taxonomy struct {
 	Classes stats.MissClasses
 
@@ -60,11 +62,6 @@ type Taxonomy struct {
 	head, tail int32 // MRU, LRU (-1 when empty)
 	mru        uint64
 	mruOK      bool
-
-	// wayRef[g] is node+1 for the shadow node last associated with
-	// global cache way g (0 = none); the node's tag is checked before
-	// use, so stale refs are safe.
-	wayRef []int32
 }
 
 type tagEntry struct {
@@ -93,41 +90,42 @@ type shadowNode struct {
 }
 
 // newTaxonomy builds a classifier whose shadow holds lines total lines
-// (the attached cache's capacity in lines) for a cache of ways total
-// ways (sets × associativity).
-func newTaxonomy(lines, ways int) *Taxonomy {
+// (the attached cache's capacity in lines).
+func newTaxonomy(lines int) *Taxonomy {
 	return &Taxonomy{
-		tab:    make([]tagEntry, 1<<10),
-		lines:  lines,
-		head:   -1,
-		tail:   -1,
-		wayRef: make([]int32, ways),
+		tab:   make([]tagEntry, 1<<8),
+		lines: lines,
+		head:  -1,
+		tail:  -1,
 	}
 }
 
-// hit records a cache hit on global way g: the shadow's recency is
-// refreshed. The MRU memo makes the dominant same-line re-reference a
-// single compare; wayRef makes most other hits a tag check plus a list
-// splice, no table probe.
-func (t *Taxonomy) hit(tag uint64, g int) {
+// hit records a cache hit on the way whose ref is ref: the shadow's
+// recency is refreshed. The MRU memo makes the dominant same-line
+// re-reference a single compare; the way's ref (node+1 of the shadow
+// node last associated with the way, 0 = none) makes most other hits a
+// tag check plus a list splice, no table probe. A ref is always below
+// len(nodes)+1: a flush empties every way along with the pool, and
+// EnableTaxonomy clears every ref it replaces the classifier under.
+func (t *Taxonomy) hit(tag uint64, ref *int32) {
 	if t.mruOK && t.mru == tag {
 		return
 	}
-	if r := t.wayRef[g] - 1; r >= 0 && t.nodes[r].tag == tag {
+	if r := *ref - 1; r >= 0 && t.nodes[r].tag == tag {
 		t.mru, t.mruOK = tag, true
 		if t.head != r {
 			t.moveToHead(r)
 		}
 		return
 	}
-	t.touch(t.entry(tag), tag, g)
+	t.touch(t.entry(tag), tag, ref)
 }
 
-// miss classifies and records a cache miss on tag filling global way g,
-// then refreshes the shadow with the reference. Classification priority:
-// compulsory (never seen) > coherence (marked by InvalidateCoherence) >
-// conflict (shadow holds the line) > capacity.
-func (t *Taxonomy) miss(tag uint64, g int) {
+// miss classifies and records a cache miss on tag filling the way whose
+// ref is ref, then refreshes the shadow with the reference.
+// Classification priority: compulsory (never seen) > coherence (marked by
+// InvalidateCoherence) > conflict (shadow holds the line) > capacity.
+func (t *Taxonomy) miss(tag uint64, ref *int32) {
 	e := t.entry(tag)
 	switch {
 	case e.flags&seenBit == 0:
@@ -141,7 +139,7 @@ func (t *Taxonomy) miss(tag uint64, g int) {
 	default:
 		t.Classes.Capacity++
 	}
-	t.touch(e, tag, g)
+	t.touch(e, tag, ref)
 }
 
 // markCoherence flags tag so its next miss classifies as a coherence
@@ -197,16 +195,16 @@ func (t *Taxonomy) inShadow(e *tagEntry, tag uint64) bool {
 
 // touch moves tag (whose entry is e) to the shadow's MRU position,
 // inserting it when absent — into a new node while the pool is below the
-// line count, else into the recycled LRU node — and re-aims way g's
-// memo.
-func (t *Taxonomy) touch(e *tagEntry, tag uint64, g int) {
+// line count, else into the recycled LRU node — and re-aims the way's
+// ref.
+func (t *Taxonomy) touch(e *tagEntry, tag uint64, ref *int32) {
 	t.mru, t.mruOK = tag, true
 	if t.inShadow(e, tag) {
 		n := e.node - 1
 		if t.head != n {
 			t.moveToHead(n)
 		}
-		t.wayRef[g] = e.node
+		*ref = e.node
 		return
 	}
 	var n int32
@@ -222,7 +220,7 @@ func (t *Taxonomy) touch(e *tagEntry, tag uint64, g int) {
 	}
 	t.pushHead(n)
 	e.node = n + 1
-	t.wayRef[g] = n + 1
+	*ref = n + 1
 }
 
 // moveToHead splices an in-list, non-head node to the MRU position —
@@ -270,8 +268,8 @@ func (t *Taxonomy) pushHead(n int32) {
 // flush empties the shadow (mirroring a cache Flush); the seen filter —
 // deliberately infinite — survives, so post-flush misses are capacity,
 // never compulsory. Truncating the pool makes every entry's node read as
-// absent. wayRef needs no reset: the flush empties every cache way, and
-// the miss that refills a way re-aims its memo before a hit can read it.
+// absent. The refs need no reset: the cache's flush clears every way,
+// ref included.
 func (t *Taxonomy) flush() {
 	t.mruOK = false
 	t.head, t.tail = -1, -1
@@ -282,8 +280,17 @@ func (t *Taxonomy) flush() {
 // in effect: a second call resets the classifier). The hierarchy enables
 // it on both data levels; bare caches (e.g. the instruction cache) stay
 // unclassified and pay nothing.
+//
+// The ways' refs name nodes of the classifier they were set under, so
+// they are cleared here: a hit must never index the fresh, smaller node
+// pool through a stale ref.
 func (c *Cache) EnableTaxonomy() {
-	c.tax = newTaxonomy(c.cfg.SizeBytes/c.cfg.LineBytes, c.cfg.Sets()*c.cfg.Assoc)
+	c.tax = newTaxonomy(c.cfg.SizeBytes / c.cfg.LineBytes)
+	for _, ch := range c.chunks {
+		for i := range ch {
+			ch[i].ref = 0
+		}
+	}
 }
 
 // Taxonomy returns the per-class miss breakdown (zero when the classifier

@@ -242,13 +242,20 @@ func TestReplayDataMatchesStreaming(t *testing.T) {
 // A replay result must not keep the replay's hierarchies alive: informd
 // caches results, and a hierarchy holds both caches' tags and their
 // taxonomy shadows. Keeping a few results of replays through a large
-// geometry must not keep their hierarchies on the heap.
+// geometry must not keep their hierarchies on the heap. A cache allocates
+// storage only for the sets a run fills, so the trace touches every set
+// of the L2: each hierarchy then weighs about 9 MB, and three pinned
+// ones would grow the heap well past the bound.
 func TestReplayResultReleasesHierarchies(t *testing.T) {
 	big := mem.HierConfig{
 		L1: mem.CacheConfig{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 2},
-		L2: mem.CacheConfig{SizeBytes: 8 << 20, LineBytes: 32, Assoc: 4}, // ~18 MB with its shadow
+		L2: mem.CacheConfig{SizeBytes: 8 << 20, LineBytes: 32, Assoc: 4},
 	}
-	text := traceText(line(0, 1, 0x40, false, false), line(1, 3, 0x8000, true, false))
+	var lines []string
+	for s := 0; s < big.L2.Sets(); s++ {
+		lines = append(lines, line(uint64(s), 3, uint64(s*big.L2.LineBytes), s%2 == 0, false))
+	}
+	text := traceText(lines...)
 	d, err := Load(strings.NewReader(text), ReaderConfig{})
 	if err != nil {
 		t.Fatal(err)
