@@ -212,9 +212,11 @@ func TestPolicyCacheMatchesReference(t *testing.T) {
 // exercised heavily. The miss taxonomy is enabled on the Cache side
 // throughout — it must be observation-only, so its presence cannot
 // perturb any outcome — and its four classes must sum exactly to the
-// misses since it was last enabled. Halfway through each trace it is
-// enabled a second time on the used cache: the ways keep taxonomy memos
-// naming nodes of the replaced classifier, and no hit may follow one.
+// misses since it was last enabled. Halfway through each trace the whole
+// state, and the taxonomy's sum over every miss so far, cold start
+// included, is checked; then the taxonomy is enabled a second time on
+// the used cache: the ways keep taxonomy memos naming nodes of the
+// replaced classifier, and no hit may follow one.
 // After the trace, every set is probed with Contains and Invalidate of a
 // line the trace never drew, so sets whose storage was never allocated
 // answer alongside the filled ones.
@@ -273,6 +275,9 @@ func checkCacheMatchesReference(t *testing.T, policy string) {
 			var last, taxBase uint64
 			for op := 0; op < 12000; op++ {
 				if op == 6000 {
+					if d := diffState(c, ref, 0); d != "" {
+						t.Fatalf("geom %d seed %d, first half: %s", gi, seed, d)
+					}
 					stepBoth(c, ref, opRetax, 0)
 					taxBase = c.Misses
 				}
@@ -421,6 +426,11 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		for ops := data[2:]; len(ops) >= 3; ops = ops[3:] {
 			kind := int(ops[0]&0x0f) % numOps
 			addr := (uint64(ops[1])<<8|uint64(ops[2]))*uint64(cfg.LineBytes) + uint64(ops[0]>>4)%uint64(cfg.LineBytes)
+			if kind == opRetax {
+				if d := diffState(c, ref, taxBase); d != "" {
+					t.Fatalf("%+v, before EnableTaxonomy: %s", cfg, d)
+				}
+			}
 			if d := stepBoth(c, ref, kind, addr); d != "" {
 				t.Fatalf("%+v: %s", cfg, d)
 			}
@@ -496,9 +506,8 @@ func TestHierarchyMemoMatchesReference(t *testing.T) {
 // wayAt returns way i of set s, the zero (invalid) way when the set's
 // chunk was never allocated.
 func (c *Cache) wayAt(s, i int) way {
-	ch := c.chunks[s>>c.chunkShift]
-	if ch == nil {
-		return way{}
+	if set := c.set(uint64(s)); set != nil {
+		return set[i]
 	}
-	return ch[(s&(c.chunkSets-1))*c.cfg.Assoc+i]
+	return way{}
 }
